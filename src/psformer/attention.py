@@ -5,6 +5,12 @@ Single-head, no positional encoding, no layer normalization. Positions enter
 upstream as relative coordinates appended to grouped features; normalization
 is the separate feature-norm stage. Works on (S, d_in) sets or batched
 (..., S, d_in) stacks of independent sets.
+
+Attention is one autodiff node computed in blocks of query rows, each block
+over the whole key axis, so neither its forward nor its backward holds an
+(S, S) array: memory is O(S * block), not O(S^2). The backward recomputes each
+block's softmax instead of keeping it (FlashAttention's exact-math tiling,
+Dao et al. 2022, arXiv 2205.14135).
 """
 
 from __future__ import annotations
@@ -14,7 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, as_tensor, relu, softmax
+from .autodiff import (ShapeError, Tensor, _accum, _make, as_tensor, relu,
+                       softmax_data)
+
+# Most logits one block of query rows may hold, summed over a batch of sets:
+# 2^21 float64 values, 16 MB per block-sized temporary.
+BLOCK_LOGITS = 1 << 21
 
 
 @dataclass
@@ -77,13 +88,62 @@ def project_qkv(f, params: TransParams):
     return f @ params.w_q, f @ params.w_k, f @ params.w_v
 
 
+def _row_blocks(q_shape: tuple, s: int) -> list:
+    """Slices of query rows whose logits, over every set of the batch, fit
+    in BLOCK_LOGITS (one row at least)."""
+    sets = math.prod(q_shape[:-2])
+    rows = max(1, BLOCK_LOGITS // max(1, sets * s))
+    n = q_shape[-2]
+    return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+
+
 def attend(q, k, v) -> Tensor:
     """softmax(Q Kᵀ / sqrt(d)) V, softmax over keys. Every element of a set
-    attends over all S elements of that set."""
+    attends over all S elements of that set.
+
+    q is (..., S_q, d), k is (..., S, d) and v is (..., S, d_v) with equal
+    leading dims. Each block of query rows repeats the unblocked op sequence
+    on its rows, so the output is exact at any block size; it is also
+    bit-identical wherever BLAS gives a row slice of a product the same bits
+    as the whole product, as it does for 512-row blocks of a 4096-point set.
+    The k and v gradients sum over blocks, so the block size changes them
+    only through summation order.
+    """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    d = q.shape[-1]
-    logits = (q @ k.mT) * Tensor(1.0 / math.sqrt(d))
-    return softmax(logits, axis=-1) @ v
+    if (q.ndim < 2 or k.ndim != q.ndim or q.shape[:-2] != k.shape[:-2]
+            or k.shape[:-1] != v.shape[:-1] or q.shape[-1] != k.shape[-1]):
+        raise ShapeError(f"attend shapes incompatible: q {q.shape}, k {k.shape}, v {v.shape}")
+    scale = np.float64(1.0 / math.sqrt(q.shape[-1]))
+    kt = np.swapaxes(k.data, -1, -2)
+    blocks = _row_blocks(q.shape, k.shape[-2])
+
+    def probs(blk):
+        return softmax_data((q.data[..., blk, :] @ kt) * scale)
+
+    out = np.empty(q.shape[:-1] + v.shape[-1:])
+    for blk in blocks:
+        out[..., blk, :] = probs(blk) @ v.data
+
+    def backward_fn(g):
+        gq = np.empty_like(q.data) if q.requires_grad else None
+        vt = np.swapaxes(v.data, -1, -2)
+        for blk in blocks:
+            p = probs(blk)
+            g_blk = g[..., blk, :]
+            if v.requires_grad:
+                _accum(v, np.swapaxes(p, -1, -2) @ g_blk)
+            gp = g_blk @ vt
+            dot = (gp * p).sum(axis=-1, keepdims=True)
+            gl = (gp - dot) * p * scale
+            if gq is not None:
+                gq[..., blk, :] = gl @ k.data
+            if k.requires_grad:
+                q_blk = q.data[..., blk, :]
+                _accum(k, np.swapaxes(np.swapaxes(q_blk, -1, -2) @ gl, -1, -2))
+        if gq is not None:
+            _accum(q, gq)
+
+    return _make(out, (q, k, v), backward_fn, "attend")
 
 
 def ffn(y, params: TransParams) -> Tensor:

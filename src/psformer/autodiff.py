@@ -2,9 +2,13 @@
 
 The graph is implicit: every tensor produced by an operation keeps references
 to its parents and a closure that routes the output gradient back to them.
-Creation order is a topological order, so backward() walks the graph exactly
-once in reverse. Tensors are confined to one thread during a forward/backward
-pass; detached tensors are plain read-only values.
+backward() orders the nodes reachable from the loss by an iterative
+depth-first post-order walk and runs each closure once, in reverse of that
+order, so a node's gradient is complete before it is routed to its parents.
+An interior node's gradient is released as soon as it has been routed; leaf
+tensors (parameters) and the loss keep theirs. Tensors are confined to one
+thread during a forward/backward pass; detached tensors are plain read-only
+values.
 """
 
 from __future__ import annotations
@@ -24,6 +28,10 @@ class ContractError(ValueError):
 
 
 _GRAD_ENABLED = True
+
+# Test hook, read once at import: a deliberately wrong relu backward rule for
+# negative controls of the gradient checks.
+_CORRUPT_BACKWARD = bool(os.environ.get("PSF_CORRUPT_BACKWARD"))
 
 
 class no_grad:
@@ -191,8 +199,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward_fn(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.shape))
 
     return _make(data, (a, b), backward_fn, "add")
 
@@ -201,8 +211,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
 
     def backward_fn(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.shape))
 
     return _make(data, (a, b), backward_fn, "sub")
 
@@ -211,8 +223,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def backward_fn(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(data, (a, b), backward_fn, "mul")
 
@@ -221,8 +235,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     data = a.data / b.data
 
     def backward_fn(g):
-        _accum(a, _unbroadcast(g / b.data, a.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _make(data, (a, b), backward_fn, "div")
 
@@ -251,8 +267,7 @@ def relu(a: Tensor) -> Tensor:
 
     def backward_fn(g):
         gi = g * (a.data > 0.0)
-        # Test hook: a deliberately wrong backward rule for negative controls.
-        if os.environ.get("PSF_CORRUPT_BACKWARD"):
+        if _CORRUPT_BACKWARD:
             gi = gi * 1.01
         _accum(a, gi)
 
@@ -269,12 +284,16 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(data, (a,), backward_fn, "sigmoid")
 
 
+def softmax_data(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Max-shifted softmax of a plain array, the forward of softmax()."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = softmax_data(a.data, axis)
 
     def backward_fn(g):
         dot = (g * data).sum(axis=axis, keepdims=True)
@@ -468,7 +487,10 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every tracked tensor reachable from a scalar loss."""
+    """Populate .grad on every leaf tensor that requires a gradient and is
+    reachable from a scalar loss, and on the loss itself. An interior node's
+    gradient is dropped once routed to its parents, so only the gradients
+    still waiting to be routed are alive at any point of the walk."""
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     topo = []
@@ -490,6 +512,8 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)
+            if node is not loss:
+                node.grad = None
 
 
 @dataclass

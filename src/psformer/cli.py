@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from ._kernels import fps_indices
-from .autodiff import ContractError, bce_with_logits, grad_check
+from .autodiff import ContractError, bce_with_logits, grad_check, no_grad
 from .checkpoint import (CheckpointError, model_from_checkpoint,
                          save_checkpoint)
 from .config import ABLATION_FLAGS, ConfigError, ModelConfig, load_config
@@ -181,11 +181,12 @@ def predict_cloud(model: PSFormer, cloud: PointCloud) -> np.ndarray:
     small for the encoder merge into the largest one, and each chunk is
     normalized and predicted independently. Results reassemble by original
     index, so coincident points (identical chunk assignment and features)
-    always get equal saliency.
+    always get equal saliency. No autodiff graph is built.
     """
     patch = model.config.data.patch_size
     if cloud.n <= patch:
-        return model.forward(cloud).probabilities
+        with no_grad():
+            return model.forward(cloud).probabilities
 
     k = math.ceil(cloud.n / patch)
     seeds = cloud.coords[fps_indices(cloud.coords, k)]
@@ -203,9 +204,10 @@ def predict_cloud(model: PSFormer, cloud: PointCloud) -> np.ndarray:
     log.debug("predict: %d points in %d chunks (patch %d)", cloud.n,
               len(chunks), patch)
     out = np.empty(cloud.n, dtype=np.float64)
-    for idx in chunks:
-        sub = normalize_cloud(cloud.coords[idx], cloud.colors[idx])
-        out[idx] = model.forward(sub).probabilities
+    with no_grad():
+        for idx in chunks:
+            sub = normalize_cloud(cloud.coords[idx], cloud.colors[idx])
+            out[idx] = model.forward(sub).probabilities
     return out
 
 

@@ -32,7 +32,6 @@ class LevelSpec:
 class ModelSection:
     compress_dim: int = 32       # per-level width inside the scene context
     fn_eps: float = 1e-5
-    attn_cap: int = 0            # chunked attention above this set size; 0 = off
     threshold: float = 0.5
     adaptive_threshold: bool = False   # eval-time threshold = min(1, 2*mean p)
     use_fn: bool = True
@@ -257,6 +256,14 @@ def parse_config(text: str) -> ModelConfig:
 
 
 def _apply_key(cfg: ModelConfig, key: str, raw: str) -> None:
+    if key == "model.attn_cap":
+        # Retired key: configs written before attention memory was bounded
+        # carry it at 0 (whole-set attention), which is what the model does.
+        if _parse_value(raw, int, key) != 0:
+            raise ConfigError(
+                f"{key}={raw}: chunked attention was removed; attention always "
+                "spans the whole set")
+        return
     if "." not in key:
         raise ConfigError(f"unknown config key {key!r}")
     section, name = key.split(".", 1)

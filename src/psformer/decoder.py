@@ -125,21 +125,8 @@ def init_head(rng: np.random.Generator, d_in: int, d_hidden: int) -> HeadParams:
     )
 
 
-def _chunked_trans(f: Tensor, params: TransParams, cap: int) -> Tensor:
-    """Attention over index-contiguous chunks of at most cap points. An opt-in
-    cost control for full-resolution sets; cap <= 0 means whole-set attention."""
-    s = f.shape[0]
-    if cap <= 0 or s <= cap:
-        return trans_block(f, params)
-    pieces = []
-    for lo in range(0, s, cap):
-        hi = min(lo + cap, s)
-        pieces.append(trans_block(gather_rows(f, np.arange(lo, hi)), params))
-    return concat(pieces, axis=0)
-
-
 def ut_block(upper: EncoderLevelOutput, skip: EncoderLevelOutput, params: UTParams,
-             interp: tuple | None = None, attn_cap: int = 0) -> EncoderLevelOutput:
+             interp: tuple | None = None) -> EncoderLevelOutput:
     """Trans(C(U(upper), skip)) at the skip resolution.
 
     interp optionally supplies precomputed (indices, weights) for the
@@ -156,12 +143,12 @@ def ut_block(upper: EncoderLevelOutput, skip: EncoderLevelOutput, params: UTPara
             f"fuse weights {params.fuse_w.shape}")
     fused = cat @ params.fuse_w + params.fuse_b
     if params.trans is not None:
-        fused = _chunked_trans(fused, params.trans, attn_cap)
+        fused = trans_block(fused, params.trans)
     return EncoderLevelOutput(coords=skip.coords, features=fused)
 
 
 def decode(levels, cloud: PointCloud, params: DecoderParams,
-           interp_chain=None, attn_cap: int = 0) -> Tensor:
+           interp_chain=None) -> Tensor:
     """Chain ut_block from the coarsest level down through level 1, then one
     more step onto the original points with the lifted 9-channel input as the
     final skip. Returns (N, d_dec) per-point features."""
@@ -173,7 +160,7 @@ def decode(levels, cloud: PointCloud, params: DecoderParams,
     current = levels[-1]
     for i, (skip, ut) in enumerate(zip(skips, params.uts)):
         interp = interp_chain[i] if interp_chain is not None else None
-        current = ut_block(current, skip, ut, interp=interp, attn_cap=attn_cap)
+        current = ut_block(current, skip, ut, interp=interp)
     return current.features
 
 

@@ -136,8 +136,7 @@ class PSFormer:
                                  self.level_cfgs, self.level_params,
                                  geometry=geometry.levels, radius_scale=scale)
         feats = decode(levels, cloud, self.dec_params,
-                       interp_chain=geometry.interp,
-                       attn_cap=self.config.model.attn_cap)
+                       interp_chain=geometry.interp)
         ctx = mca(levels, self.mca_params) if self.mca_params is not None else None
         thr = self.config.model.threshold if threshold is None else threshold
         return predict_head(feats, ctx, self.head_params, threshold=thr)

@@ -6,9 +6,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from psformer import attention
 from psformer.attention import (TransParams, attend, ffn, glorot, init_trans,
                                 project_qkv, trans_block)
-from psformer.autodiff import ShapeError, Tensor, grad_check, softmax
+from psformer.autodiff import ShapeError, Tensor, backward, grad_check, softmax
 
 mp.mp.dps = 50
 
@@ -161,3 +162,85 @@ def test_trans_block_batched_grad_check():
 
     report = grad_check(objective, params.named("t"))
     assert report.passed, dict(report.per_param)
+
+
+# ------------------------------------------------------- blocked attention
+
+def _attend_with_grads(fn, q, k, v, g):
+    ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+    out = fn(*ts)
+    backward((out * Tensor(g)).sum())
+    return out.data, [t.grad for t in ts]
+
+
+def _composed_attend(q, k, v):
+    """The unfused op graph attend replaces, as the reference."""
+    logits = (q @ k.mT) * Tensor(1.0 / math.sqrt(q.shape[-1]))
+    return softmax(logits, axis=-1) @ v
+
+
+@pytest.mark.parametrize("shape", [(40, 6), (5, 7, 3)])
+def test_one_block_attend_bit_identical_to_composed_ops(shape):
+    rng = np.random.default_rng(12)
+    q, k, v, g = (rng.standard_normal(shape) for _ in range(4))
+    assert len(attention._row_blocks(shape, shape[-2])) == 1
+    out, grads = _attend_with_grads(attend, q, k, v, g)
+    ref_out, ref_grads = _attend_with_grads(_composed_attend, q, k, v, g)
+    assert np.array_equal(out, ref_out)
+    for got, want in zip(grads, ref_grads):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape, rows", [((256, 16), 64), ((16, 24, 8), 8)])
+def test_blocked_attend_matches_one_block(monkeypatch, shape, rows):
+    # At these shapes BLAS gives a row slice of a product the same bits as
+    # the whole product, so only the k and v gradient sums may move.
+    rng = np.random.default_rng(13)
+    q, k, v, g = (rng.standard_normal(shape) for _ in range(4))
+    out1, grads1 = _attend_with_grads(attend, q, k, v, g)
+
+    s = shape[-2]
+    monkeypatch.setattr(attention, "BLOCK_LOGITS", rows * math.prod(shape[:-2]) * s)
+    assert len(attention._row_blocks(shape, s)) == s // rows > 1
+    out, grads = _attend_with_grads(attend, q, k, v, g)
+    assert np.array_equal(out, out1)
+    for got, want in zip(grads, grads1):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shape", [(6, 3), (3, 5, 2)])
+def test_attend_grad_check_across_block_boundary(monkeypatch, shape):
+    # two query rows per block: the last block is partial
+    monkeypatch.setattr(attention, "BLOCK_LOGITS", 2 * math.prod(shape[:-2]) * shape[-2])
+    assert len(attention._row_blocks(shape, shape[-2])) == 3
+    rng = np.random.default_rng(14)
+    q, k, v = (Tensor(rng.standard_normal(shape), requires_grad=True) for _ in range(3))
+    w = Tensor(rng.standard_normal(shape))
+    report = grad_check(lambda: (attend(q, k, v) * w).sum(), {"q": q, "k": k, "v": v})
+    assert report.passed, dict(report.per_param)
+
+
+def test_trans_block_graph_holds_no_square_array():
+    s = 2048
+    rng = np.random.default_rng(15)
+    out = trans_block(Tensor(rng.standard_normal((s, 4))), init_trans(rng, 4))
+    seen, stack, ops = {id(out)}, [out], set()
+    while stack:
+        node = stack.pop()
+        ops.add(node._op)
+        assert node.data.size < s * s, (node._op, node.shape)
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    assert "attend" in ops
+
+
+def test_attend_rejects_mismatched_shapes():
+    z = lambda *shape: Tensor(np.zeros(shape))
+    with pytest.raises(ShapeError):
+        attend(z(4, 3), z(4, 2), z(4, 5))     # q and k widths differ
+    with pytest.raises(ShapeError):
+        attend(z(4, 3), z(4, 3), z(5, 2))     # k and v set sizes differ
+    with pytest.raises(ShapeError):
+        attend(z(2, 4, 3), z(3, 4, 3), z(3, 4, 3))   # batch dims differ

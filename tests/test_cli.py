@@ -236,6 +236,24 @@ def test_predict_cloud_chunks_oversized_input():
     assert np.all((probs > 0) & (probs < 1))
 
 
+def test_predict_cloud_builds_no_graph(monkeypatch):
+    model = PSFormer(ModelConfig.tiny(), seed=0)
+    forward = model.forward
+    logits = []
+
+    def recording_forward(cloud, **kwargs):
+        pred = forward(cloud, **kwargs)
+        logits.append(pred.logits)
+        return pred
+
+    monkeypatch.setattr(model, "forward", recording_forward)
+    predict_cloud(model, gen_synthetic_scene(1, model.config.data))  # one patch
+    predict_cloud(model, gen_synthetic_scene(3, DataSection(scene_points=160)))
+    assert len(logits) == 4
+    for t in logits:
+        assert t._parents == () and not t.requires_grad
+
+
 def test_predict_rejects_garbage_input(tmp_path, capsys):
     bad = tmp_path / "broken.ply"
     bad.write_text("this is not a ply file\n")

@@ -5,6 +5,7 @@ reference and for point-order invariance."""
 import numpy as np
 import pytest
 
+from psformer import config
 from psformer.attention import init_trans, trans_block
 from psformer.autodiff import ShapeError, Tensor, grad_check
 from psformer.decoder import (HeadParams, MCAParams, UTParams, decode,
@@ -13,6 +14,9 @@ from psformer.decoder import (HeadParams, MCAParams, UTParams, decode,
 from psformer.encoder import EncoderLevelOutput
 from psformer.pointcloud import interp_weights, normalize_cloud
 from psformer.autodiff import ContractError, interp_apply, concat, relu, column_max
+from psformer.checkpoint import model_from_checkpoint, save_checkpoint
+from psformer.config import ConfigError, ModelConfig, parse_config
+from psformer.model import PSFormer
 
 
 def _level_out(rng, n, d):
@@ -77,33 +81,25 @@ def test_ut_block_accepts_precomputed_interp():
     assert np.array_equal(a.features.data, b.features.data)
 
 
-def test_chunked_attention_cap_at_or_above_n_matches_uncapped():
-    rng = np.random.default_rng(4)
-    upper = _level_out(rng, 4, 6)
-    skip = _level_out(rng, 9, 5)
-    params = init_ut(rng, d_up=6, d_skip=5)
-    uncapped = ut_block(upper, skip, params, attn_cap=0)
-    for cap in (9, 10, 1000):
-        capped = ut_block(upper, skip, params, attn_cap=cap)
-        assert np.array_equal(capped.features.data, uncapped.features.data)
+def test_checkpoint_with_retired_attn_cap_zero_still_loads(tmp_path, monkeypatch):
+    # Checkpoints written while chunked attention existed carry the key at 0.
+    model = PSFormer(ModelConfig.tiny())
+    serialize = config.serialize_config
+    monkeypatch.setattr(config, "serialize_config",
+                        lambda cfg: serialize(cfg) + "model.attn_cap=0\n")
+    path = str(tmp_path / "old.ckpt")
+    save_checkpoint(path, model)
+    with open(path, "rb") as fh:
+        assert b"model.attn_cap=0" in fh.read()
+    loaded, _, _ = model_from_checkpoint(path)
+    assert loaded.config == model.config
+    for name, p in model.parameters().items():
+        assert np.array_equal(loaded.parameters()[name].data, p.data), name
 
 
-def test_chunked_attention_splits_into_contiguous_pieces():
-    rng = np.random.default_rng(5)
-    upper = _level_out(rng, 4, 6)
-    skip = _level_out(rng, 9, 5)
-    params = init_ut(rng, d_up=6, d_skip=5)
-
-    out = ut_block(upper, skip, params, attn_cap=4)
-
-    idx, w = interp_weights(upper.coords, skip.coords)
-    up = interp_apply(upper.features, idx, w)
-    cat = concat([up, skip.features], axis=-1)
-    fused = (cat @ params.fuse_w + params.fuse_b).data
-    pieces = [trans_block(Tensor(fused[lo:lo + 4]), params.trans).data
-              for lo in (0, 4, 8)]
-    assert np.allclose(out.features.data, np.concatenate(pieces, axis=0),
-                       rtol=0, atol=0)
+def test_retired_attn_cap_nonzero_raises():
+    with pytest.raises(ConfigError, match="chunked attention was removed"):
+        parse_config("preset=tiny\nmodel.attn_cap=64\n")
 
 
 # ------------------------------------------------------------ scene context

@@ -4,7 +4,7 @@ equivariance, parameter bookkeeping, and ablation wiring."""
 import numpy as np
 import pytest
 
-from psformer.autodiff import ContractError
+from psformer.autodiff import ContractError, backward, bce_with_logits
 from psformer.config import ABLATION_FLAGS, ModelConfig
 from psformer.model import PSFormer
 from psformer.pointcloud import normalize_cloud
@@ -100,6 +100,30 @@ def test_parameters_are_stable_and_named():
     prefixes = {n.split(".")[0] for n in a}
     for want in ("enc1", "enc5", "stem", "ut1", "ut5", "mca1", "head"):
         assert any(p.startswith(want) for p in prefixes), want
+
+
+def test_backward_releases_interior_grads_and_keeps_parameter_grads():
+    model = PSFormer(_tiny(), seed=0)
+    scene = _scene()
+    loss = bce_with_logits(model.forward(scene).logits,
+                           scene.labels.astype(np.float64))
+    backward(loss)
+    params = model.parameters()
+    for name, p in params.items():
+        assert p.grad is not None and np.isfinite(p.grad).all(), name
+    assert loss.grad is not None
+    param_ids = {id(p) for p in params.values()}
+    seen, stack, interior = {id(loss)}, [loss], 0
+    while stack:
+        node = stack.pop()
+        if node._parents and node is not loss:
+            interior += 1
+            assert node.grad is None, node._op
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    assert interior > 100 and param_ids <= seen
 
 
 def test_seed_controls_init():
