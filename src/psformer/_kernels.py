@@ -5,9 +5,25 @@ path is used when numba imports cleanly and the env var PSF_NUMBA is not set
 to 0/false/off. Both paths are written so every float op happens in the same
 order, so they produce bit-identical results (asserted in tests).
 
-All distance comparisons use squared distances. Ties are broken by
-lexicographic coordinate comparison and then by index, which makes every
-selection a total order and keeps results stable under input permutation.
+All distance comparisons use squared distances, summed (dx*dx + dy*dy) + dz*dz.
+FPS breaks ties lexicographically by coordinates and then by index; ball
+query and 3-NN order candidates by (distance, index). Every selection is a
+total order, which keeps results stable under input permutation.
+
+The numpy twins get that order without sorting whole distance rows. Distances
+come in blocks of rows of at most BLOCK_PAIRS entries (`_d2_blocks`), so no
+(M, N) matrix is ever held. Within a block:
+
+- 3-NN takes argmin three times, setting each pick to inf. argmin returns the
+  first minimum, which is the lowest index among equal distances.
+- Ball query lists the in-radius pairs with flatnonzero, which yields them
+  in (row, index) order, and then sorts only those pairs: a stable sort by
+  distance, then a stable sort by row. Ties keep ascending index order.
+- FPS holds -inf for chosen points so argmax finds the first farthest
+  available point; a second argmax detects a tie, and only then are the tied
+  candidates sorted by coordinates.
+
+The block size changes only how much is computed at once, never the result.
 """
 
 from __future__ import annotations
@@ -39,13 +55,45 @@ def _lex_centroid(coords: np.ndarray) -> np.ndarray:
     return coords[order].sum(axis=0) / coords.shape[0]
 
 
-def _d2_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # (len(a), len(b)) squared distances, accumulated x,y,z in order to match
-    # the numba kernels bit for bit.
-    dx = a[:, None, 0] - b[None, :, 0]
-    dy = a[:, None, 1] - b[None, :, 1]
-    dz = a[:, None, 2] - b[None, :, 2]
-    return dx * dx + dy * dy + dz * dz
+# Most entries one block of a distance matrix may hold: 2^16 float64 values,
+# 512 KB per block-sized buffer, so a block and its scratch stay in L2 cache.
+BLOCK_PAIRS = 1 << 16
+
+
+def _d2_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield (lo, hi, d2) over blocks of rows of a, where d2[i, j] is the
+    squared distance from a[lo + i] to b[j].
+
+    Each entry is summed (dx*dx + dy*dy) + dz*dz, the order the numba kernels
+    use, so values are bit-identical to theirs. d2 is a buffer reused by the
+    next block: consume it (or overwrite it) before asking for the next one.
+    """
+    n = b.shape[0]
+    rows = max(1, min(a.shape[0], BLOCK_PAIRS // max(n, 1)))
+    bt = np.ascontiguousarray(b.T)
+    buf = np.empty((rows, n))
+    tmp = np.empty((rows, n))
+    for lo in range(0, a.shape[0], rows):
+        hi = min(lo + rows, a.shape[0])
+        d2, t = buf[:hi - lo], tmp[:hi - lo]
+        np.subtract(a[lo:hi, 0:1], bt[0], out=d2)
+        np.multiply(d2, d2, out=d2)
+        for c in (1, 2):
+            np.subtract(a[lo:hi, c:c + 1], bt[c], out=t)
+            np.multiply(t, t, out=t)
+            np.add(d2, t, out=d2)
+        yield lo, hi, d2
+
+
+def nearest_index(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Index of the nearest target for every point; ties go to the lowest
+    index. Memory stays at one distance block whatever the point count."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    targets = np.ascontiguousarray(targets, dtype=np.float64)
+    out = np.empty(points.shape[0], dtype=np.int64)
+    for lo, hi, d2 in _d2_blocks(points, targets):
+        d2.argmin(axis=1, out=out[lo:hi])
+    return out
 
 
 # farthest point sampling -------------------------------------------------
@@ -53,27 +101,40 @@ def _d2_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def fps_numpy(coords: np.ndarray, m: int, centroid: np.ndarray) -> np.ndarray:
     n = coords.shape[0]
-    chosen = np.zeros(n, dtype=bool)
+    if m > n:
+        raise ValueError(f"fps: cannot sample {m} of {n} points")
     out = np.empty(m, dtype=np.int64)
+    xyz = [np.ascontiguousarray(coords[:, c]) for c in range(3)]
+    dist = np.empty(n)
+    new = np.empty(n)
+    tmp = np.empty(n)
 
-    dx = coords[:, 0] - centroid[0]
-    dy = coords[:, 1] - centroid[1]
-    dz = coords[:, 2] - centroid[2]
-    dist = dx * dx + dy * dy + dz * dz
+    def sq_dist_to(p, into):
+        # (dx*dx + dy*dy) + dz*dz against the point p, written into `into`
+        np.subtract(xyz[0], p[0], out=into)
+        np.multiply(into, into, out=into)
+        for c in (1, 2):
+            np.subtract(xyz[c], p[c], out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            np.add(into, tmp, out=into)
 
+    sq_dist_to([float(v) for v in centroid], dist)
     for t in range(m):
-        avail = ~chosen
-        best = dist[avail].max()
-        cands = np.flatnonzero(avail & (dist == best))
-        sub = coords[cands]
-        pick = cands[np.lexsort((cands, sub[:, 2], sub[:, 1], sub[:, 0]))[0]]
+        # Chosen points hold -inf, so argmax finds the first farthest
+        # available point; a second argmax tells whether another one ties.
+        pick = int(dist.argmax())
+        best = dist[pick]
+        dist[pick] = -np.inf
+        if dist[dist.argmax()] == best:
+            dist[pick] = best
+            cands = np.flatnonzero(dist == best)
+            sub = coords[cands]
+            pick = int(cands[np.lexsort((cands, sub[:, 2], sub[:, 1], sub[:, 0]))[0]])
+            dist[pick] = -np.inf
         out[t] = pick
-        chosen[pick] = True
         if t + 1 < m:
-            dx = coords[:, 0] - coords[pick, 0]
-            dy = coords[:, 1] - coords[pick, 1]
-            dz = coords[:, 2] - coords[pick, 2]
-            dist = np.minimum(dist, dx * dx + dy * dy + dz * dz)
+            sq_dist_to(coords[pick].tolist(), new)
+            np.minimum(dist, new, out=dist)
     return out
 
 
@@ -82,18 +143,31 @@ def fps_numpy(coords: np.ndarray, m: int, centroid: np.ndarray) -> np.ndarray:
 
 def ball_query_numpy(coords: np.ndarray, centroid_idx: np.ndarray,
                      radius: float, k: int):
+    n = coords.shape[0]
     r2 = radius * radius
-    d2 = _d2_matrix(coords[centroid_idx], coords)
-    valid = d2 <= r2
-    masked = np.where(valid, d2, np.inf)
-    order = np.argsort(masked, axis=1, kind="stable")  # (dist, index) order
-    counts = np.minimum(valid.sum(axis=1), k).astype(np.int64)
-    take = min(k, coords.shape[0])
-    idx = np.empty((len(centroid_idx), k), dtype=np.int64)
-    idx[:, :take] = order[:, :take]
-    idx[:, take:] = order[:, :1]       # k may exceed the point count
-    pad = np.arange(k)[None, :] >= counts[:, None]
-    idx = np.where(pad, idx[:, :1], idx)
+    idx = np.zeros((len(centroid_idx), k), dtype=np.int64)
+    counts = np.zeros(len(centroid_idx), dtype=np.int64)
+    for lo, hi, d2 in _d2_blocks(coords[centroid_idx], coords):
+        # In-radius pairs in (row, col) order, then two stable sorts: by
+        # distance (as int64 bits, which order non-negative floats), then by
+        # row (a radix sort on a small int type). Each row ends up in
+        # (distance, index) order, and `row`, already ascending, still lines
+        # up with the sorted pairs.
+        flat = np.flatnonzero(d2 <= r2)
+        row = flat // n
+        col = flat - row * n
+        order = np.argsort(d2.ravel()[flat].view(np.int64), kind="stable")
+        narrow = row.astype(np.min_scalar_type(hi - lo))[order]
+        col = col[order[np.argsort(narrow, kind="stable")]]
+        n_in = np.bincount(row, minlength=hi - lo)
+        start = np.cumsum(n_in) - n_in
+        rank = np.arange(row.size) - start[row]
+        keep = rank < k
+        blk = idx[lo:hi]
+        has = n_in > 0
+        blk[has] = col[start[has]][:, None]    # pad with the nearest entry
+        blk[row[keep], rank[keep]] = col[keep]
+        counts[lo:hi] = np.minimum(n_in, k)
     return idx, counts
 
 
@@ -104,12 +178,20 @@ _IDW_EPS = 1e-8
 
 
 def three_nn_numpy(dst: np.ndarray, src: np.ndarray):
-    m = src.shape[0]
-    kk = min(3, m)
-    d2 = _d2_matrix(dst, src)
-    order = np.argsort(d2, axis=1, kind="stable")
-    idx = order[:, :kk].astype(np.int64)
-    dsel = np.take_along_axis(d2, idx, axis=1)
+    kk = min(3, src.shape[0])
+    idx = np.empty((dst.shape[0], kk), dtype=np.int64)
+    dsel = np.empty((dst.shape[0], kk))
+    for lo, hi, d2 in _d2_blocks(dst, src):
+        rows = np.arange(hi - lo)
+        for s in range(kk):
+            # argmin returns the first minimum: (distance, index) order. A
+            # masked pick loses to every finite distance, and distances are
+            # finite for coordinates within about 1e153.
+            j = d2.argmin(axis=1)
+            idx[lo:hi, s] = j
+            dsel[lo:hi, s] = d2[rows, j]
+            if s + 1 < kk:
+                d2[rows, j] = np.inf
     w = 1.0 / (dsel + _IDW_EPS)
     w = w / w.sum(axis=1, keepdims=True)
     hit = dsel[:, 0] < _COINCIDENT_D2

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from ._kernels import fps_indices
+from ._kernels import fps_indices, nearest_index
 from .autodiff import ContractError, bce_with_logits, grad_check, no_grad
 from .checkpoint import (CheckpointError, model_from_checkpoint,
                          save_checkpoint)
@@ -190,8 +190,7 @@ def predict_cloud(model: PSFormer, cloud: PointCloud) -> np.ndarray:
 
     k = math.ceil(cloud.n / patch)
     seeds = cloud.coords[fps_indices(cloud.coords, k)]
-    d2 = ((cloud.coords[:, None, :] - seeds[None, :, :]) ** 2).sum(axis=2)
-    assign = d2.argmin(axis=1)
+    assign = nearest_index(cloud.coords, seeds)
     chunks = [np.flatnonzero(assign == j) for j in range(k)]
     chunks = [c for c in chunks if c.size]
 

@@ -1,19 +1,27 @@
 """Geometry kernels against brute-force oracles, plus backend agreement.
 
 The numpy and numba implementations must be bit-identical; correctness is
-established against independent pure-python reimplementations.
+established against independent pure-python reimplementations. The blocked
+numpy kernels must also be bit-identical to the full-row argsort
+formulations they replaced, which are kept below as oracles.
 """
 
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from psformer._kernels import (ACTIVE_BACKEND, HAVE_NUMBA, _IDW_EPS,
-                               ball_query, ball_query_numpy, fps_indices,
-                               fps_numpy, three_nn, three_nn_numpy)
+from psformer import _kernels
+from psformer._kernels import (ACTIVE_BACKEND, HAVE_NUMBA, _COINCIDENT_D2,
+                               _IDW_EPS, _lex_centroid, ball_query,
+                               ball_query_numpy, fps_indices, fps_numpy,
+                               nearest_index, three_nn, three_nn_numpy)
+from psformer.config import ModelConfig
+from psformer.model import PSFormer
+from psformer.training import gen_synthetic_scene
 
 if HAVE_NUMBA:
     from psformer._kernels import (ball_query_numba, fps_numba,
@@ -80,6 +88,70 @@ def _three_nn_reference(dst, src):
             raw = [1.0 / (d2 + _IDW_EPS) for d2, _ in near]
             w[i] = np.array(raw) / sum(raw)
     return idx, w
+
+
+def _lattice(rng, n):
+    """Coordinates on a 4x4x4 grid of step 0.25: duplicated points and equal
+    distances everywhere, including exactly at the k-th neighbor and at the
+    ball radius."""
+    return rng.integers(0, 4, (n, 3)) * 0.25
+
+
+# Full-row argsort formulations (the numpy kernels before blocking) ---------
+
+
+def _d2_full(a, b):
+    dx = a[:, None, 0] - b[None, :, 0]
+    dy = a[:, None, 1] - b[None, :, 1]
+    dz = a[:, None, 2] - b[None, :, 2]
+    return dx * dx + dy * dy + dz * dz
+
+
+def _fps_argsort(coords, m):
+    centroid = _lex_centroid(coords)
+    chosen = np.zeros(coords.shape[0], dtype=bool)
+    out = np.empty(m, dtype=np.int64)
+    dist = _d2_full(centroid[None, :], coords)[0]
+    for t in range(m):
+        avail = ~chosen
+        best = dist[avail].max()
+        cands = np.flatnonzero(avail & (dist == best))
+        sub = coords[cands]
+        pick = cands[np.lexsort((cands, sub[:, 2], sub[:, 1], sub[:, 0]))[0]]
+        out[t] = pick
+        chosen[pick] = True
+        dist = np.minimum(dist, _d2_full(coords[pick][None, :], coords)[0])
+    return out
+
+
+def _ball_query_argsort(coords, centroid_idx, radius, k):
+    d2 = _d2_full(coords[centroid_idx], coords)
+    valid = d2 <= radius * radius
+    order = np.argsort(np.where(valid, d2, np.inf), axis=1, kind="stable")
+    counts = np.minimum(valid.sum(axis=1), k).astype(np.int64)
+    take = min(k, coords.shape[0])
+    idx = np.empty((len(centroid_idx), k), dtype=np.int64)
+    idx[:, :take] = order[:, :take]
+    idx[:, take:] = order[:, :1]
+    pad = np.arange(k)[None, :] >= counts[:, None]
+    return np.where(pad, idx[:, :1], idx), counts
+
+
+def _three_nn_argsort(dst, src):
+    d2 = _d2_full(dst, src)
+    idx = np.argsort(d2, axis=1, kind="stable")[:, :min(3, src.shape[0])]
+    dsel = np.take_along_axis(d2, idx, axis=1)
+    w = 1.0 / (dsel + _IDW_EPS)
+    w = w / w.sum(axis=1, keepdims=True)
+    hit = dsel[:, 0] < _COINCIDENT_D2
+    w[hit] = 0.0
+    w[hit, 0] = 1.0
+    return idx, w
+
+
+def _nearest_broadcast(points, targets):
+    d2 = ((points[:, None, :] - targets[None, :, :]) ** 2).sum(axis=2)
+    return d2.argmin(axis=1)
 
 
 def test_fps_matches_reference():
@@ -196,6 +268,203 @@ def test_three_nn_fewer_than_three_sources():
     assert idx.shape == (1, 2) and w.shape == (1, 2)
     assert abs(w.sum() - 1.0) <= 1e-12
     assert w[0, 0] > w[0, 1]
+
+
+# tie-heavy lattices -----------------------------------------------------------
+
+
+def test_fps_lattice_ties_match_reference():
+    rng = np.random.default_rng(10)
+    for _ in range(40):
+        n = int(rng.integers(4, 40))
+        m = int(rng.integers(1, n + 1))
+        coords = _lattice(rng, n)
+        got = fps_indices(coords, m)
+        assert np.array_equal(got, _fps_reference(coords, m))
+        assert np.array_equal(got, _fps_argsort(coords, m))
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_ball_query_lattice_ties_match_reference(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(_kernels, "BLOCK_PAIRS", block)
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(5, 60))
+        coords = _lattice(rng, n)
+        centroid_idx = fps_indices(coords, int(rng.integers(1, n + 1)))
+        # lattice distances: a radius of one or two steps lands exactly on
+        # candidates, so the <= boundary and k-th place ties both occur
+        radius = float(rng.choice([0.25, 0.25 * np.sqrt(2), 0.5, 0.6]))
+        k = int(rng.integers(1, 12))
+        gi, gc = ball_query(coords, centroid_idx, radius, k)
+        wi, wc = _ball_reference(coords, centroid_idx, radius, k)
+        assert np.array_equal(gi, wi) and np.array_equal(gc, wc)
+        oi, oc = _ball_query_argsort(coords, centroid_idx, radius, k)
+        assert np.array_equal(gi, oi) and np.array_equal(gc, oc)
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_three_nn_lattice_ties_match_reference(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(_kernels, "BLOCK_PAIRS", block)
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        src = _lattice(rng, int(rng.integers(1, 30)))
+        dst = _lattice(rng, int(rng.integers(1, 30)))
+        gi, gw = three_nn(dst, src)
+        wi, ww = _three_nn_reference(dst, src)
+        assert np.array_equal(gi, wi)
+        assert np.allclose(gw, ww, atol=1e-12, rtol=0)
+        oi, ow = _three_nn_argsort(dst, src)
+        assert np.array_equal(gi, oi) and np.array_equal(gw, ow)
+
+
+# bit-identity with the argsort formulations at scale ---------------------------
+
+
+@pytest.fixture(scope="module")
+def default_scene_oracle():
+    """Every kernel input of a 4096-point `default` geometry, with the argsort
+    oracles' outputs for each."""
+    cfg = ModelConfig.default()
+    cloud = gen_synthetic_scene(5, cfg.data)
+    scale = cloud.extent
+    coords, levels, chain = cloud.coords, [], []
+    for spec in cfg.levels:
+        ci = _fps_argsort(coords, spec.m)
+        r = spec.radius * scale
+        levels.append((coords, spec.m, r, spec.k, ci,
+                       _ball_query_argsort(coords, ci, r, spec.k)))
+        coords = coords[ci]
+        chain.append(coords)
+    dsts = chain[-2::-1] + [cloud.coords]
+    steps = [(d, s, _three_nn_argsort(d, s)) for s, d in zip(chain[::-1], dsts)]
+    return cloud, levels, steps
+
+
+def test_default_scene_fps_matches_argsort_oracle(default_scene_oracle):
+    _, levels, _ = default_scene_oracle
+    for coords, m, _, _, ci, _ in levels:
+        assert np.array_equal(fps_numpy(coords, m, _lex_centroid(coords)), ci)
+
+
+@pytest.mark.parametrize("block", [None, 1, 5 * 4096 + 3, 1 << 40],
+                         ids=["default", "one_row", "few_rows", "all_rows"])
+def test_default_scene_bit_identical_at_any_block_size(default_scene_oracle,
+                                                       monkeypatch, block):
+    cloud, levels, steps = default_scene_oracle
+    if block is not None:
+        monkeypatch.setattr(_kernels, "BLOCK_PAIRS", block)
+    for coords, _, r, k, ci, (oi, oc) in levels:
+        gi, gc = ball_query_numpy(coords, ci, r, k)
+        assert np.array_equal(gi, oi) and np.array_equal(gc, oc)
+    for dst, src, (oi, ow) in steps:
+        gi, gw = three_nn_numpy(dst, src)
+        assert np.array_equal(gi, oi) and np.array_equal(gw, ow)
+    if block is None:
+        geom = PSFormer(ModelConfig.default()).build_geometry(cloud)
+        for g, (_, _, _, _, ci, (oi, oc)) in zip(geom.levels, levels):
+            assert np.array_equal(g.centroid_idx, ci)
+            assert np.array_equal(g.neighbor_idx, oi)
+            assert np.array_equal(g.valid_counts, oc)
+        for (gi, gw), (_, _, (oi, ow)) in zip(geom.interp, steps):
+            assert np.array_equal(gi, oi) and np.array_equal(gw, ow)
+
+
+# edge cases ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("block", [1, 1 << 40])
+def test_ball_query_k_above_point_count(monkeypatch, block):
+    monkeypatch.setattr(_kernels, "BLOCK_PAIRS", block)
+    coords = np.random.default_rng(13).uniform(0, 1, (5, 3))
+    ci = np.array([0, 3])
+    gi, gc = ball_query(coords, ci, 5.0, 8)
+    assert np.array_equal(gc, [5, 5])
+    oi, oc = _ball_query_argsort(coords, ci, 5.0, 8)
+    assert np.array_equal(gi, oi) and np.array_equal(gc, oc)
+    assert np.array_equal(gi, _ball_reference(coords, ci, 5.0, 8)[0])
+
+
+def test_ball_query_isolated_centroid_pads_with_itself():
+    coords = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.1, 0.0],
+                       [5.0, 5.0, 5.0]])
+    gi, gc = ball_query(coords, np.array([3, 0]), 0.5, 4)
+    assert np.array_equal(gi[0], [3, 3, 3, 3]) and gc[0] == 1
+    assert np.array_equal(gi[1], [0, 1, 2, 0]) and gc[1] == 3
+    oi, oc = _ball_query_argsort(coords, np.array([3, 0]), 0.5, 4)
+    assert np.array_equal(gi, oi) and np.array_equal(gc, oc)
+
+
+@pytest.mark.parametrize("ns", [1, 2])
+def test_three_nn_one_or_two_sources_match_oracle(ns):
+    rng = np.random.default_rng(14)
+    src = _lattice(rng, ns)
+    dst = np.concatenate([_lattice(rng, 20), src])
+    gi, gw = three_nn(dst, src)
+    assert gi.shape == gw.shape == (20 + ns, ns)
+    oi, ow = _three_nn_argsort(dst, src)
+    assert np.array_equal(gi, oi) and np.array_equal(gw, ow)
+
+
+def test_three_nn_dst_equal_to_src():
+    rng = np.random.default_rng(15)
+    pts = np.concatenate([rng.uniform(0, 1, (30, 3)), _lattice(rng, 30)])
+    gi, gw = three_nn(pts, pts)
+    oi, ow = _three_nn_argsort(pts, pts)
+    assert np.array_equal(gi, oi) and np.array_equal(gw, ow)
+    assert np.all(gw[:, 0] == 1.0) and np.all(gw[:, 1:] == 0.0)
+    # a point is its own nearest unless an earlier index duplicates it
+    first = [min(np.flatnonzero((pts == p).all(axis=1))) for p in pts]
+    assert np.array_equal(gi[:, 0], first)
+
+
+def test_fps_full_sample_on_duplicated_points():
+    rng = np.random.default_rng(16)
+    base = _lattice(rng, 12)
+    coords = np.concatenate([base, base, base[:5]])
+    got = fps_indices(coords, coords.shape[0])
+    assert sorted(got.tolist()) == list(range(coords.shape[0]))
+    assert np.array_equal(got, _fps_argsort(coords, coords.shape[0]))
+    assert np.array_equal(got, _fps_reference(coords, coords.shape[0]))
+
+
+def test_fps_numpy_rejects_more_samples_than_points():
+    coords = np.zeros((3, 3))
+    with pytest.raises(ValueError):
+        fps_numpy(coords, 4, _lex_centroid(coords))
+
+
+# nearest-seed assignment -------------------------------------------------------
+
+
+@pytest.mark.parametrize("block", [None, 1, 1 << 40])
+def test_nearest_index_matches_broadcast_argmin_on_ties(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(_kernels, "BLOCK_PAIRS", block)
+    rng = np.random.default_rng(17)
+    points = _lattice(rng, 3000)
+    seeds = np.concatenate([_lattice(rng, 6), _lattice(rng, 6)[:3]])
+    seeds = np.concatenate([seeds, seeds[:2]])     # duplicate seeds tie exactly
+    assert np.array_equal(nearest_index(points, seeds),
+                          _nearest_broadcast(points, seeds))
+
+
+def test_nearest_index_memory_stays_at_one_block():
+    rng = np.random.default_rng(18)
+    points = rng.uniform(0, 1, (200_000, 3))
+    seeds = points[:50].copy()
+    tracemalloc.start()
+    try:
+        out = nearest_index(points, seeds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (200_000,)
+    # the (N, k, 3) broadcast it replaces peaks near 300 MB at this size; the
+    # blocked search holds the 1.6 MB result plus two 512 KB block buffers
+    assert peak < 4 * 2**20, peak
 
 
 @pytest.mark.skipif(not HAVE_NUMBA, reason="numba backend not active")
