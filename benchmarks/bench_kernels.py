@@ -1,7 +1,4 @@
-"""Timing comparison of the numba and pure-numpy geometry kernels.
-
-The backend is frozen when psformer._kernels is imported (PSF_NUMBA), so this
-script re-invokes itself once per backend and prints a side-by-side table:
+"""Timings of the numpy geometry kernels, one median per kernel call:
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --points 8192 --repeats 9
@@ -15,15 +12,11 @@ shapes: FPS and ball query per encoder level, and 3-NN per UT interpolation
 step. The per-kernel totals then add up to one geometry build, which is timed
 too.
 
-Numba JIT compilation happens during warmup and is excluded from timings.
-Ball query runs on farthest-point seeds drawn once before timing, so its rows
-exclude sampling. When numba is not active only the numpy column is printed.
+Each call runs once untimed before its timed repeats. Ball query runs on
+farthest-point seeds drawn once before timing, so its rows exclude sampling.
 """
 
 import argparse
-import json
-import os
-import subprocess
 import sys
 import time
 
@@ -31,7 +24,7 @@ import numpy as np
 
 
 def _median_time(fn, repeats: int) -> float:
-    fn()                                       # warmup; JIT compiles here
+    fn()                                       # warmup
     samples = []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -85,30 +78,18 @@ def _preset_calls(preset: str):
     return calls
 
 
-def _time_kernels(args) -> dict:
-    from psformer._kernels import ACTIVE_BACKEND
-
+def _time_kernels(args) -> list:
     calls = _preset_calls(args.preset) if args.preset else _synthetic_calls(args.points)
     rows, totals = [], {}
     for label, kernel, fn in calls:
         t = _median_time(fn, args.repeats)
-        rows.append([label, t])
+        rows.append((label, t))
         if kernel is not None:
             totals[kernel] = totals.get(kernel, 0.0) + t
     if args.preset:
-        rows += [[f"{k} total", t] for k, t in totals.items()]
-        rows.append(["kernels total", sum(totals.values())])
-    return {"backend": ACTIVE_BACKEND, "rows": rows}
-
-
-def _run_backend(flag: str, args) -> dict:
-    env = dict(os.environ, PSF_NUMBA=flag)
-    cmd = [sys.executable, os.path.abspath(__file__), "--inner",
-           "--points", str(args.points), "--repeats", str(args.repeats)]
-    if args.preset:
-        cmd += ["--preset", args.preset]
-    out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
+        rows += [(f"{k} total", t) for k, t in totals.items()]
+        rows.append(("kernels total", sum(totals.values())))
+    return rows
 
 
 def main() -> int:
@@ -117,30 +98,15 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--preset", choices=("tiny", "desk", "default"),
                         help="time the kernel calls of one build_geometry")
-    parser.add_argument("--inner", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
 
-    if args.inner:
-        print(json.dumps(_time_kernels(args)))
-        return 0
-
-    numba = _run_backend("1", args)
+    rows = _time_kernels(args)
     what = f"preset {args.preset}" if args.preset else f"{args.points} points"
     print(f"{what}, median of {args.repeats} runs")
-    width = max(len(label) for label, _ in numba["rows"]) + 2
-    if numba["backend"] != "numba":
-        # PSF_NUMBA=1 fell back to numpy: that run is the numpy column.
-        print("numba not active: numpy kernels only", file=sys.stderr)
-        print(f"{'kernel':<{width}}{'numpy':>12}")
-        for label, t in numba["rows"]:
-            print(f"{label:<{width}}{t * 1e3:>10.2f}ms")
-        return 0
-
-    numpy_ = _run_backend("0", args)
-    print(f"{'kernel':<{width}}{'numba':>12}{'numpy':>12}{'speedup':>10}")
-    for (label, a), (_, b) in zip(numba["rows"], numpy_["rows"]):
-        print(f"{label:<{width}}{a * 1e3:>10.2f}ms{b * 1e3:>10.2f}ms"
-              f"{b / a:>9.1f}x")
+    width = max(len(label) for label, _ in rows) + 2
+    print(f"{'kernel':<{width}}{'numpy':>12}")
+    for label, t in rows:
+        print(f"{label:<{width}}{t * 1e3:>10.2f}ms")
     return 0
 
 

@@ -1,18 +1,13 @@
 """Neighbor-search kernels: farthest point sampling, ball query, 3-NN.
 
-Each kernel has a pure-numpy implementation and a numba @njit twin. The numba
-path is used when numba imports cleanly and the env var PSF_NUMBA is not set
-to 0/false/off. Both paths are written so every float op happens in the same
-order, so they produce bit-identical results (asserted in tests).
-
 All distance comparisons use squared distances, summed (dx*dx + dy*dy) + dz*dz.
 FPS breaks ties lexicographically by coordinates and then by index; ball
 query and 3-NN order candidates by (distance, index). Every selection is a
 total order, which keeps results stable under input permutation.
 
-The numpy twins get that order without sorting whole distance rows. Distances
-come in blocks of rows of at most BLOCK_PAIRS entries (`_d2_blocks`), so no
-(M, N) matrix is ever held. Within a block:
+The kernels are plain numpy and get that order without sorting whole
+distance rows. Distances come in blocks of rows of at most BLOCK_PAIRS
+entries (`_d2_blocks`), so no (M, N) matrix is ever held. Within a block:
 
 - 3-NN takes argmin three times, setting each pick to inf. argmin returns the
   first minimum, which is the lowest index among equal distances.
@@ -28,24 +23,10 @@ The block size changes only how much is computed at once, never the result.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_flag = os.environ.get("PSF_NUMBA", "1").strip().lower()
-NUMBA_REQUESTED = _flag not in {"0", "false", "off", "no"}
-
-if NUMBA_REQUESTED:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-ACTIVE_BACKEND = "numba" if HAVE_NUMBA else "numpy"
+# The one kernel backend, named in benchmark environment reports.
+ACTIVE_BACKEND = "numpy"
 
 
 def _lex_centroid(coords: np.ndarray) -> np.ndarray:
@@ -64,9 +45,9 @@ def _d2_blocks(a: np.ndarray, b: np.ndarray):
     """Yield (lo, hi, d2) over blocks of rows of a, where d2[i, j] is the
     squared distance from a[lo + i] to b[j].
 
-    Each entry is summed (dx*dx + dy*dy) + dz*dz, the order the numba kernels
-    use, so values are bit-identical to theirs. d2 is a buffer reused by the
-    next block: consume it (or overwrite it) before asking for the next one.
+    Each entry is summed (dx*dx + dy*dy) + dz*dz, the same order as FPS's
+    running distances. d2 is a buffer reused by the next block: consume it
+    (or overwrite it) before asking for the next one.
     """
     n = b.shape[0]
     rows = max(1, min(a.shape[0], BLOCK_PAIRS // max(n, 1)))
@@ -99,7 +80,13 @@ def nearest_index(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
 # farthest point sampling -------------------------------------------------
 
 
-def fps_numpy(coords: np.ndarray, m: int, centroid: np.ndarray) -> np.ndarray:
+def fps_indices(coords: np.ndarray, m: int) -> np.ndarray:
+    """Greedy max-min sample of m point indices.
+
+    Seeded at the point farthest from the (permutation-invariant) centroid;
+    every later pick maximizes distance to the selected set.
+    """
+    coords = np.ascontiguousarray(coords, dtype=np.float64)
     n = coords.shape[0]
     if m > n:
         raise ValueError(f"fps: cannot sample {m} of {n} points")
@@ -118,7 +105,7 @@ def fps_numpy(coords: np.ndarray, m: int, centroid: np.ndarray) -> np.ndarray:
             np.multiply(tmp, tmp, out=tmp)
             np.add(into, tmp, out=into)
 
-    sq_dist_to([float(v) for v in centroid], dist)
+    sq_dist_to([float(v) for v in _lex_centroid(coords)], dist)
     for t in range(m):
         # Chosen points hold -inf, so argmax finds the first farthest
         # available point; a second argmax tells whether another one ties.
@@ -141,10 +128,15 @@ def fps_numpy(coords: np.ndarray, m: int, centroid: np.ndarray) -> np.ndarray:
 # ball query ---------------------------------------------------------------
 
 
-def ball_query_numpy(coords: np.ndarray, centroid_idx: np.ndarray,
-                     radius: float, k: int):
+def ball_query(coords: np.ndarray, centroid_idx: np.ndarray, radius: float, k: int):
+    """Up-to-k nearest in-radius neighbor indices per centroid, plus the true
+    in-radius count capped at k. Rows short of k are padded with the nearest
+    qualifying index (the centroid itself qualifies at distance 0)."""
+    coords = np.ascontiguousarray(coords, dtype=np.float64)
+    centroid_idx = np.ascontiguousarray(centroid_idx, dtype=np.int64)
+    k = int(k)
     n = coords.shape[0]
-    r2 = radius * radius
+    r2 = float(radius) * float(radius)
     idx = np.zeros((len(centroid_idx), k), dtype=np.int64)
     counts = np.zeros(len(centroid_idx), dtype=np.int64)
     for lo, hi, d2 in _d2_blocks(coords[centroid_idx], coords):
@@ -177,7 +169,11 @@ _COINCIDENT_D2 = 1e-12
 _IDW_EPS = 1e-8
 
 
-def three_nn_numpy(dst: np.ndarray, src: np.ndarray):
+def three_nn(dst: np.ndarray, src: np.ndarray):
+    """Indices and normalized inverse-square-distance weights of the (up to)
+    3 nearest sources per destination; a coincident source takes weight 1."""
+    dst = np.ascontiguousarray(dst, dtype=np.float64)
+    src = np.ascontiguousarray(src, dtype=np.float64)
     kk = min(3, src.shape[0])
     idx = np.empty((dst.shape[0], kk), dtype=np.int64)
     dsel = np.empty((dst.shape[0], kk))
@@ -201,174 +197,3 @@ def three_nn_numpy(dst: np.ndarray, src: np.ndarray):
     return idx, w
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def fps_numba(coords, m, centroid):  # pragma: no cover - mirrored by numpy twin
-        n = coords.shape[0]
-        chosen = np.zeros(n, dtype=np.bool_)
-        out = np.empty(m, dtype=np.int64)
-        dist = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            dx = coords[i, 0] - centroid[0]
-            dy = coords[i, 1] - centroid[1]
-            dz = coords[i, 2] - centroid[2]
-            dist[i] = dx * dx + dy * dy + dz * dz
-        for t in range(m):
-            pick = -1
-            for i in range(n):
-                if chosen[i]:
-                    continue
-                if pick < 0:
-                    pick = i
-                    continue
-                if dist[i] > dist[pick]:
-                    pick = i
-                elif dist[i] == dist[pick]:
-                    for c in range(3):
-                        if coords[i, c] < coords[pick, c]:
-                            pick = i
-                            break
-                        if coords[i, c] > coords[pick, c]:
-                            break
-            out[t] = pick
-            chosen[pick] = True
-            if t + 1 < m:
-                for i in range(n):
-                    dx = coords[i, 0] - coords[pick, 0]
-                    dy = coords[i, 1] - coords[pick, 1]
-                    dz = coords[i, 2] - coords[pick, 2]
-                    d = dx * dx + dy * dy + dz * dz
-                    if d < dist[i]:
-                        dist[i] = d
-        return out
-
-    @njit(cache=True)
-    def ball_query_numba(coords, centroid_idx, radius, k):  # pragma: no cover
-        m = centroid_idx.shape[0]
-        n = coords.shape[0]
-        r2 = radius * radius
-        idx = np.empty((m, k), dtype=np.int64)
-        counts = np.empty(m, dtype=np.int64)
-        dbuf = np.empty(k, dtype=np.float64)
-        for c in range(m):
-            ci = centroid_idx[c]
-            cx = coords[ci, 0]
-            cy = coords[ci, 1]
-            cz = coords[ci, 2]
-            cnt = 0
-            for j in range(n):
-                dx = coords[j, 0] - cx
-                dy = coords[j, 1] - cy
-                dz = coords[j, 2] - cz
-                d = dx * dx + dy * dy + dz * dz
-                if d > r2:
-                    continue
-                if cnt < k:
-                    pos = cnt
-                    while pos > 0 and (dbuf[pos - 1] > d):
-                        dbuf[pos] = dbuf[pos - 1]
-                        idx[c, pos] = idx[c, pos - 1]
-                        pos -= 1
-                    dbuf[pos] = d
-                    idx[c, pos] = j
-                    cnt += 1
-                elif d < dbuf[k - 1]:
-                    pos = k - 1
-                    while pos > 0 and (dbuf[pos - 1] > d):
-                        dbuf[pos] = dbuf[pos - 1]
-                        idx[c, pos] = idx[c, pos - 1]
-                        pos -= 1
-                    dbuf[pos] = d
-                    idx[c, pos] = j
-            counts[c] = cnt
-            for s in range(cnt, k):
-                idx[c, s] = idx[c, 0]
-        return idx, counts
-
-    @njit(cache=True)
-    def three_nn_numba(dst, src):  # pragma: no cover
-        n = dst.shape[0]
-        m = src.shape[0]
-        kk = min(3, m)
-        idx = np.empty((n, kk), dtype=np.int64)
-        w = np.empty((n, kk), dtype=np.float64)
-        dbuf = np.empty(kk, dtype=np.float64)
-        for i in range(n):
-            cnt = 0
-            for j in range(m):
-                dx = dst[i, 0] - src[j, 0]
-                dy = dst[i, 1] - src[j, 1]
-                dz = dst[i, 2] - src[j, 2]
-                d = dx * dx + dy * dy + dz * dz
-                if cnt < kk:
-                    pos = cnt
-                    while pos > 0 and (dbuf[pos - 1] > d):
-                        dbuf[pos] = dbuf[pos - 1]
-                        idx[i, pos] = idx[i, pos - 1]
-                        pos -= 1
-                    dbuf[pos] = d
-                    idx[i, pos] = j
-                    cnt += 1
-                elif d < dbuf[kk - 1]:
-                    pos = kk - 1
-                    while pos > 0 and (dbuf[pos - 1] > d):
-                        dbuf[pos] = dbuf[pos - 1]
-                        idx[i, pos] = idx[i, pos - 1]
-                        pos -= 1
-                    dbuf[pos] = d
-                    idx[i, pos] = j
-            if dbuf[0] < _COINCIDENT_D2:
-                for s in range(kk):
-                    w[i, s] = 0.0
-                w[i, 0] = 1.0
-            else:
-                tot = 0.0
-                for s in range(kk):
-                    w[i, s] = 1.0 / (dbuf[s] + _IDW_EPS)
-                    tot += w[i, s]
-                for s in range(kk):
-                    w[i, s] = w[i, s] / tot
-        return idx, w
-
-else:
-    fps_numba = None
-    ball_query_numba = None
-    three_nn_numba = None
-
-
-# dispatch ------------------------------------------------------------------
-
-
-def fps_indices(coords: np.ndarray, m: int) -> np.ndarray:
-    """Greedy max-min sample of m point indices.
-
-    Seeded at the point farthest from the (permutation-invariant) centroid;
-    every later pick maximizes distance to the selected set.
-    """
-    coords = np.ascontiguousarray(coords, dtype=np.float64)
-    centroid = _lex_centroid(coords)
-    if HAVE_NUMBA:
-        return fps_numba(coords, m, centroid)
-    return fps_numpy(coords, m, centroid)
-
-
-def ball_query(coords: np.ndarray, centroid_idx: np.ndarray, radius: float, k: int):
-    """Up-to-k nearest in-radius neighbor indices per centroid, plus the true
-    in-radius count capped at k. Rows short of k are padded with the nearest
-    qualifying index (the centroid itself qualifies at distance 0)."""
-    coords = np.ascontiguousarray(coords, dtype=np.float64)
-    centroid_idx = np.ascontiguousarray(centroid_idx, dtype=np.int64)
-    if HAVE_NUMBA:
-        return ball_query_numba(coords, centroid_idx, float(radius), int(k))
-    return ball_query_numpy(coords, centroid_idx, float(radius), int(k))
-
-
-def three_nn(dst: np.ndarray, src: np.ndarray):
-    """Indices and normalized inverse-square-distance weights of the (up to)
-    3 nearest sources per destination; a coincident source takes weight 1."""
-    dst = np.ascontiguousarray(dst, dtype=np.float64)
-    src = np.ascontiguousarray(src, dtype=np.float64)
-    if HAVE_NUMBA:
-        return three_nn_numba(dst, src)
-    return three_nn_numpy(dst, src)

@@ -7,8 +7,8 @@ depth-first post-order walk and runs each closure once, in reverse of that
 order, so a node's gradient is complete before it is routed to its parents.
 An interior node's gradient is released as soon as it has been routed; leaf
 tensors (parameters) and the loss keep theirs. Tensors are confined to one
-thread during a forward/backward pass; detached tensors are plain read-only
-values.
+thread during a forward/backward pass; tensors built under no_grad() are
+plain read-only values.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """N-dimensional float64 array, optionally tracked for gradients."""
 
@@ -82,9 +78,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single element, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def numpy(self) -> np.ndarray:
         return self.data

@@ -29,7 +29,7 @@ from .autodiff import (
     sigmoid,
 )
 from .encoder import EncoderLevelOutput
-from .pointcloud import PointCloud, interp_weights
+from .pointcloud import PointCloud
 
 
 @dataclass
@@ -84,15 +84,6 @@ class HeadParams:
 
 
 @dataclass
-class SceneContext:
-    vector: Tensor   # (5 * compress_dim,)
-
-    @property
-    def width(self) -> int:
-        return self.vector.shape[0]
-
-
-@dataclass
 class SaliencyPrediction:
     logits: Tensor             # (N,), kept differentiable for the loss
     probabilities: np.ndarray  # (N,) sigmoid of logits
@@ -126,14 +117,10 @@ def init_head(rng: np.random.Generator, d_in: int, d_hidden: int) -> HeadParams:
 
 
 def ut_block(upper: EncoderLevelOutput, skip: EncoderLevelOutput, params: UTParams,
-             interp: tuple | None = None) -> EncoderLevelOutput:
-    """Trans(C(U(upper), skip)) at the skip resolution.
-
-    interp optionally supplies precomputed (indices, weights) for the
-    upsampling step so callers can cache coordinate-only work.
-    """
-    if interp is None:
-        interp = interp_weights(upper.coords, skip.coords)
+             interp: tuple) -> EncoderLevelOutput:
+    """Trans(C(U(upper), skip)) at the skip resolution. interp is the
+    (indices, weights) pair of the upsampling step from upper.coords onto
+    skip.coords (pointcloud.interp_weights)."""
     idx, w = interp
     up = interp_apply(upper.features, idx, w)
     cat = concat([up, skip.features], axis=-1)
@@ -148,35 +135,37 @@ def ut_block(upper: EncoderLevelOutput, skip: EncoderLevelOutput, params: UTPara
 
 
 def decode(levels, cloud: PointCloud, params: DecoderParams,
-           interp_chain=None) -> Tensor:
+           interp_chain) -> Tensor:
     """Chain ut_block from the coarsest level down through level 1, then one
     more step onto the original points with the lifted 9-channel input as the
-    final skip. Returns (N, d_dec) per-point features."""
-    if len(levels) != len(params.uts):
+    final skip; interp_chain holds each step's (indices, weights), coarsest
+    first. Returns (N, d_dec) per-point features."""
+    if not len(levels) == len(params.uts) == len(interp_chain):
         raise ContractError(
-            f"decode: {len(levels)} levels but {len(params.uts)} UT blocks")
+            f"decode: {len(levels)} levels, {len(params.uts)} UT blocks and "
+            f"{len(interp_chain)} interpolation steps")
     stem = Tensor(cloud.features9()) @ params.stem_w + params.stem_b
     skips = list(levels[:-1])[::-1] + [EncoderLevelOutput(cloud.coords, stem)]
     current = levels[-1]
-    for i, (skip, ut) in enumerate(zip(skips, params.uts)):
-        interp = interp_chain[i] if interp_chain is not None else None
-        current = ut_block(current, skip, ut, interp=interp)
+    for skip, ut, interp in zip(skips, params.uts, interp_chain):
+        current = ut_block(current, skip, ut, interp)
     return current.features
 
 
-def mca(levels, params: MCAParams) -> SceneContext:
+def mca(levels, params: MCAParams) -> Tensor:
     """Per level: one linear + ReLU to the shared compress width, channelwise
-    max over that level's points; concatenate the five vectors in level order."""
+    max over that level's points; concatenate the five vectors in level order
+    into the (5 * compress_dim,) scene context."""
     if len(levels) != len(params.w):
         raise ContractError(f"mca: {len(levels)} levels but {len(params.w)} MLPs")
     pieces = []
     for level, w, b in zip(levels, params.w, params.b):
         h = relu(level.features @ w + b)
         pieces.append(column_max(h))
-    return SceneContext(vector=concat(pieces, axis=0))
+    return concat(pieces, axis=0)
 
 
-def predict_head(point_features, context: SceneContext | None, params: HeadParams,
+def predict_head(point_features, context: Tensor | None, params: HeadParams,
                  threshold: float = 0.5) -> SaliencyPrediction:
     """Broadcast-concat the scene context onto every point row, then a
     two-layer MLP to one logit per point. context=None drops the context
@@ -184,7 +173,7 @@ def predict_head(point_features, context: SceneContext | None, params: HeadParam
     f = as_tensor(point_features)
     n = f.shape[0]
     if context is not None:
-        ctx_rows = gather_rows(context.vector.reshape(1, context.width),
+        ctx_rows = gather_rows(context.reshape(1, context.shape[0]),
                                np.zeros(n, dtype=np.int64))
         f = concat([f, ctx_rows], axis=-1)
     if f.shape[-1] != params.w1.shape[0]:

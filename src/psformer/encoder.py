@@ -17,7 +17,7 @@ import numpy as np
 from .attention import TransParams, init_trans, trans_block
 from .autodiff import ContractError, Tensor, as_tensor, group_max_pool
 from .featurenorm import FNParams, fn_apply, init_fn
-from .pointcloud import PointCloud, append_rel_coords, farthest_point_sample, gather_groups, group_indices
+from .pointcloud import append_rel_coords, farthest_point_sample, gather_groups, group_indices
 
 
 @dataclass
@@ -99,12 +99,9 @@ def build_level_geometry(coords: np.ndarray, cfg: PCTLevelConfig,
 
 
 def pct_block(coords: np.ndarray, features, cfg: PCTLevelConfig,
-              params: PCTLevelParams, geometry: LevelGeometry | None = None,
-              radius_scale: float = 1.0, trace: dict | None = None) -> EncoderLevelOutput:
+              params: PCTLevelParams, geometry: LevelGeometry,
+              trace: dict | None = None) -> EncoderLevelOutput:
     features = as_tensor(features)
-    if geometry is None:
-        geometry = build_level_geometry(coords, cfg, radius_scale)
-
     groups = gather_groups(coords, features, geometry.centroid_idx,
                            geometry.neighbor_idx, geometry.valid_counts)
     groups = append_rel_coords(groups)
@@ -136,23 +133,14 @@ def pct_block(coords: np.ndarray, features, cfg: PCTLevelConfig,
     return EncoderLevelOutput(coords=coords[geometry.centroid_idx], features=seeds)
 
 
-def encode_features(coords: np.ndarray, features, cfgs, params,
-                    geometry=None, radius_scale: float = 1.0):
-    """Chain pct_block over each level config. Level l consumes level l-1's
-    coords and features; returns one EncoderLevelOutput per level."""
+def encode_features(coords: np.ndarray, features, cfgs, params, geometry):
+    """Chain pct_block over each level config with that level's geometry.
+    Level l consumes level l-1's coords and features; returns one
+    EncoderLevelOutput per level."""
     levels = []
     feats = as_tensor(features)
-    for i, (cfg, p) in enumerate(zip(cfgs, params)):
-        geom = geometry[i] if geometry is not None else None
-        out = pct_block(coords, feats, cfg, p, geometry=geom, radius_scale=radius_scale)
+    for cfg, p, geom in zip(cfgs, params, geometry):
+        out = pct_block(coords, feats, cfg, p, geom)
         levels.append(out)
         coords, feats = out.coords, out.features
     return levels
-
-
-def encode(cloud: PointCloud, cfgs, params, geometry=None):
-    """Run the level chain on a cloud's 9 input channels. Grouping radii are
-    interpreted in normalized units and scaled by the cloud's extent."""
-    scale = cloud.extent if cloud.extent > 0 else 1.0
-    return encode_features(cloud.coords, Tensor(cloud.features9()), cfgs, params,
-                           geometry=geometry, radius_scale=scale)

@@ -131,16 +131,9 @@ class PSFormer:
                 f"cloud has {cloud.n} points, level 1 needs {self.config.levels[0].m}")
         if geometry is None:
             geometry = self.build_geometry(cloud)
-        scale = cloud.extent if cloud.extent > 0 else 1.0
         levels = encode_features(cloud.coords, Tensor(cloud.features9()),
-                                 self.level_cfgs, self.level_params,
-                                 geometry=geometry.levels, radius_scale=scale)
-        feats = decode(levels, cloud, self.dec_params,
-                       interp_chain=geometry.interp)
+                                 self.level_cfgs, self.level_params, geometry.levels)
+        feats = decode(levels, cloud, self.dec_params, geometry.interp)
         ctx = mca(levels, self.mca_params) if self.mca_params is not None else None
         thr = self.config.model.threshold if threshold is None else threshold
         return predict_head(feats, ctx, self.head_params, threshold=thr)
-
-    def logits(self, cloud: PointCloud,
-               geometry: ModelGeometry | None = None) -> Tensor:
-        return self.forward(cloud, geometry=geometry).logits

@@ -13,8 +13,6 @@ from .metrics import MetricsReport, adaptive_threshold, average_reports, clamp_t
 from .model import PSFormer
 from .pointcloud import PointCloud, normalize_cloud
 
-bce_loss = bce_with_logits
-
 
 class Adam(object):
     """Standard bias-corrected Adam over a name -> Tensor parameter dict."""
@@ -199,7 +197,9 @@ def train_model(model: PSFormer, scenes, optimizer: Adam | None = None,
                 shuffle_seed: int = 0) -> TrainResult:
     """Minimize mean BCE over the scenes. Scene geometry is computed once and
     reused every epoch (it depends only on coordinates). Early stop when the
-    configured IoU/MAE targets are both met at an eval probe."""
+    configured IoU/MAE targets are both met at an eval probe. A non-finite
+    batch loss raises ContractError before it reaches the gradients, the
+    optimizer state or the parameters."""
     if not scenes:
         raise ContractError("train_model needs at least one scene")
     for i, cloud in enumerate(scenes):
@@ -227,9 +227,13 @@ def train_model(model: PSFormer, scenes, optimizer: Adam | None = None,
                 li = _scene_loss(model, scenes[i], geoms[i])
                 loss = li if loss is None else loss + li
             loss = loss * Tensor(1.0 / len(idx))
+            value = loss.item()
+            if not np.isfinite(value):
+                raise ContractError(
+                    f"train_model: non-finite loss {value} at epoch {epoch + 1}")
             backward(loss)
             optimizer.step()
-            epoch_loss += loss.item() * len(idx)
+            epoch_loss += value * len(idx)
         epoch_loss /= len(scenes)
         result.losses.append(epoch_loss)
         result.epochs_run = epoch + 1
@@ -250,9 +254,6 @@ def train_model(model: PSFormer, scenes, optimizer: Adam | None = None,
 
 
 # ablation harness ---------------------------------------------------------
-
-VARIANT_ORDER = tuple(f"no_{f}" for f in ABLATION_FLAGS) + ("full",)
-
 
 @dataclass
 class AblationRow:

@@ -166,7 +166,7 @@ def test_equation_oracles(capsys):
                                          features=Tensor(f)) for f in feats]
             params = MCAParams(w=[Tensor(w) for w in ws],
                                b=[Tensor(b) for b in bs])
-            got = mca(levels, params).vector.data
+            got = mca(levels, params).data
             worst_mca = max(worst_mca,
                             np.abs(got - _mca_oracle(feats, ws, bs)).max())
 
@@ -250,12 +250,12 @@ def test_symmetry_suite(capsys):
                 b=[Tensor(rng.normal(0, 1, d_c)) for _ in feats])
             levels = [EncoderLevelOutput(np.zeros((f.shape[0], 3)), Tensor(f))
                       for f in feats]
-            base = mca(levels, params).vector.data
+            base = mca(levels, params).data
             shuffled = [EncoderLevelOutput(
                 np.zeros((f.shape[0], 3)),
                 Tensor(f[rng.permutation(f.shape[0])])) for f in feats]
             worst_mca = max(worst_mca,
-                            np.abs(mca(shuffled, params).vector.data
+                            np.abs(mca(shuffled, params).data
                                    - base).max())
 
         ok = (fps_ok == 50 and worst_trans <= 1e-10 and pool_ok == 50

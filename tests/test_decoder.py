@@ -25,6 +25,10 @@ def _level_out(rng, n, d):
     return EncoderLevelOutput(coords=coords, features=Tensor(feats))
 
 
+def _ut(upper, skip, params):
+    return ut_block(upper, skip, params, interp_weights(upper.coords, skip.coords))
+
+
 # ---------------------------------------------------------------- ut blocks
 
 def test_ut_block_shapes_and_composition():
@@ -33,7 +37,7 @@ def test_ut_block_shapes_and_composition():
     skip = _level_out(rng, 9, 5)
     params = init_ut(rng, d_up=6, d_skip=5)
 
-    out = ut_block(upper, skip, params)
+    out = _ut(upper, skip, params)
     assert out.features.shape == (9, 5)
     assert out.coords is skip.coords
 
@@ -53,7 +57,7 @@ def test_ut_block_without_transformer_is_linear_fuse():
     params = init_ut(rng, d_up=6, d_skip=5, use_trans=False)
     assert params.trans is None
 
-    out = ut_block(upper, skip, params)
+    out = _ut(upper, skip, params)
     idx, w = interp_weights(upper.coords, skip.coords)
     up = interp_apply(upper.features, idx, w)
     cat = concat([up, skip.features], axis=-1)
@@ -67,18 +71,7 @@ def test_ut_block_rejects_mismatched_fuse_width():
     skip = _level_out(rng, 7, 5)
     params = init_ut(rng, d_up=6, d_skip=4)  # expects skip width 4, not 5
     with pytest.raises(ShapeError):
-        ut_block(upper, skip, params)
-
-
-def test_ut_block_accepts_precomputed_interp():
-    rng = np.random.default_rng(3)
-    upper = _level_out(rng, 5, 4)
-    skip = _level_out(rng, 8, 3)
-    params = init_ut(rng, d_up=4, d_skip=3)
-    cached = interp_weights(upper.coords, skip.coords)
-    a = ut_block(upper, skip, params)
-    b = ut_block(upper, skip, params, interp=cached)
-    assert np.array_equal(a.features.data, b.features.data)
+        _ut(upper, skip, params)
 
 
 def test_checkpoint_with_retired_attn_cap_zero_still_loads(tmp_path, monkeypatch):
@@ -139,7 +132,7 @@ def test_mca_matches_loop_reference():
             widths.append(d)
             levels.append(EncoderLevelOutput(rng.uniform(0, 1, (n, 3)), Tensor(f)))
         params = init_mca(rng, widths, compress)
-        got = mca(levels, params).vector.data
+        got = mca(levels, params).data
         want = _mca_reference(feats, [w.data for w in params.w],
                               [b.data for b in params.b])
         assert got.shape == (n_levels * compress,)
@@ -153,13 +146,13 @@ def test_mca_invariant_to_point_order_within_each_level():
         widths = [4, 6, 3]
         levels = [_level_out(rng, int(rng.integers(2, 8)), d) for d in widths]
         params = init_mca(rng, widths, 3)
-        base = mca(levels, params).vector.data
+        base = mca(levels, params).data
         shuffled = []
         for lv in levels:
             perm = rng.permutation(lv.features.shape[0])
             shuffled.append(EncoderLevelOutput(lv.coords[perm],
                                                Tensor(lv.features.data[perm])))
-        assert np.array_equal(mca(shuffled, params).vector.data, base)
+        assert np.array_equal(mca(shuffled, params).data, base)
 
 
 def test_mca_level_count_mismatch():
@@ -201,10 +194,10 @@ def test_predict_head_broadcasts_context_rows():
     f = rng.normal(0, 1, (6, 4))
     levels = [_level_out(rng, 5, 3)]
     ctx = mca(levels, init_mca(rng, [3], 2))
-    params = init_head(rng, 4 + ctx.width, 8)
+    params = init_head(rng, 4 + ctx.shape[0], 8)
     pred = predict_head(Tensor(f), ctx, params)
     # manually append the context to every row
-    manual_in = np.concatenate([f, np.tile(ctx.vector.data, (6, 1))], axis=1)
+    manual_in = np.concatenate([f, np.tile(ctx.data, (6, 1))], axis=1)
     h = np.maximum(manual_in @ params.w1.data + params.b1.data, 0.0)
     manual = (h @ params.w2.data + params.b2.data).reshape(6)
     assert np.allclose(pred.logits.data, manual, rtol=0, atol=1e-15)
@@ -240,10 +233,17 @@ def _decode_setup(rng, n=20, use_trans=True):
     return cloud, levels, params
 
 
+def _interp_chain(levels, cloud):
+    """Each UT step's interpolation, coarsest first, as PSFormer.build_geometry
+    makes them."""
+    dsts = [lv.coords for lv in levels[-2::-1]] + [cloud.coords]
+    return [interp_weights(lv.coords, d) for lv, d in zip(levels[::-1], dsts)]
+
+
 def test_decode_end_to_end_shape():
     rng = np.random.default_rng(13)
     cloud, levels, params = _decode_setup(rng)
-    out = decode(levels, cloud, params)
+    out = decode(levels, cloud, params, _interp_chain(levels, cloud))
     assert out.shape == (20, 5)
     assert np.isfinite(out.data).all()
 
@@ -251,7 +251,7 @@ def test_decode_end_to_end_shape():
 def test_decode_without_transformers():
     rng = np.random.default_rng(14)
     cloud, levels, params = _decode_setup(rng, use_trans=False)
-    out = decode(levels, cloud, params)
+    out = decode(levels, cloud, params, _interp_chain(levels, cloud))
     assert out.shape == (20, 5)
 
 
@@ -259,7 +259,7 @@ def test_decode_level_count_mismatch():
     rng = np.random.default_rng(15)
     cloud, levels, params = _decode_setup(rng)
     with pytest.raises(ContractError):
-        decode(levels[:2], cloud, params)
+        decode(levels[:2], cloud, params, _interp_chain(levels[:2], cloud))
 
 
 # --------------------------------------------------------------- gradients
@@ -271,7 +271,7 @@ def test_ut_block_grad_check():
     params = init_ut(rng, d_up=5, d_skip=4)
 
     def objective():
-        out = ut_block(upper, skip, params)
+        out = _ut(upper, skip, params)
         return (out.features * out.features).mean()
 
     report = grad_check(objective, params.named("ut"))

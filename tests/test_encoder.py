@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from psformer.autodiff import ContractError, Tensor, backward, grad_check
-from psformer.encoder import (PCTLevelConfig, build_level_geometry, encode,
+from psformer.encoder import (PCTLevelConfig, build_level_geometry,
                               encode_features, init_level, pct_block)
 from psformer.pointcloud import normalize_cloud
 
@@ -19,12 +19,27 @@ def _cloud(rng, n=24):
     return normalize_cloud(rng.uniform(0, 1, (n, 3)), rng.uniform(0, 1, (n, 3)))
 
 
+def _block(cloud, cfg, params, **kw):
+    """One level on a cloud's 9 input channels, radii unscaled."""
+    return pct_block(cloud.coords, Tensor(cloud.features9()), cfg, params,
+                     build_level_geometry(cloud.coords, cfg), **kw)
+
+
+def _chain_geometry(coords, cfgs, radius_scale=1.0):
+    """Per-level geometry of a level chain, as PSFormer.build_geometry makes it."""
+    geoms = []
+    for cfg in cfgs:
+        geoms.append(build_level_geometry(coords, cfg, radius_scale))
+        coords = coords[geoms[-1].centroid_idx]
+    return geoms
+
+
 def test_level_output_shapes():
     rng = np.random.default_rng(0)
     cfg = _level(m=5, d_out=7)
     params = init_level(rng, 9, cfg)
     cloud = _cloud(rng)
-    out = pct_block(cloud.coords, Tensor(cloud.features9()), cfg, params)
+    out = _block(cloud, cfg, params)
     assert out.coords.shape == (5, 3)
     assert out.features.shape == (5, 7)
     assert out.m == 5
@@ -36,14 +51,16 @@ def test_chain_matches_manual_composition():
     params = [init_level(rng, 9, cfgs[0]), init_level(rng, 5, cfgs[1])]
     cloud = _cloud(rng)
 
-    levels = encode(cloud, cfgs, params)
+    geoms = _chain_geometry(cloud.coords, cfgs, cloud.extent)
+    levels = encode_features(cloud.coords, Tensor(cloud.features9()), cfgs,
+                             params, geoms)
     assert [lv.m for lv in levels] == [8, 3]
 
     scale = cloud.extent
     first = pct_block(cloud.coords, Tensor(cloud.features9()), cfgs[0], params[0],
-                      radius_scale=scale)
+                      build_level_geometry(cloud.coords, cfgs[0], scale))
     second = pct_block(first.coords, first.features, cfgs[1], params[1],
-                       radius_scale=scale)
+                       build_level_geometry(first.coords, cfgs[1], scale))
     assert np.array_equal(levels[0].features.data, first.features.data)
     assert np.array_equal(levels[1].features.data, second.features.data)
     assert np.array_equal(levels[1].coords, second.coords)
@@ -53,8 +70,7 @@ def test_seed_coords_subset_of_input():
     rng = np.random.default_rng(2)
     cloud = _cloud(rng, n=30)
     cfg = _level(m=6)
-    out = pct_block(cloud.coords, Tensor(cloud.features9()), cfg,
-                    init_level(rng, 9, cfg))
+    out = _block(cloud, cfg, init_level(rng, 9, cfg))
     in_set = set(map(tuple, cloud.coords))
     assert all(tuple(c) in in_set for c in out.coords)
 
@@ -64,8 +80,7 @@ def test_too_few_points_contract_error():
     cloud = _cloud(rng, n=4)
     cfg = _level(m=5)
     with pytest.raises(ContractError):
-        pct_block(cloud.coords, Tensor(cloud.features9()), cfg,
-                  init_level(rng, 9, cfg))
+        build_level_geometry(cloud.coords, cfg)
 
 
 def test_lift_bias_only_without_fn():
@@ -101,8 +116,7 @@ def test_pooled_is_max_over_valid_members():
     cfg = _level(m=5, use_psi_pre=False, use_psi_post=False)
     params = init_level(rng, 9, cfg)
     trace = {}
-    out = pct_block(cloud.coords, Tensor(cloud.features9()), cfg, params,
-                    trace=trace)
+    out = _block(cloud, cfg, params, trace=trace)
     member = trace["member_feats"].data
     counts = trace["grouped"].valid_counts
     for i in range(5):
@@ -123,14 +137,12 @@ def test_padding_choice_never_changes_pooled_output():
     geom = build_level_geometry(cloud.coords, cfg, radius_scale=cloud.extent)
     assert np.any(geom.valid_counts < cfg.k), "expected some padded groups"
 
-    out = pct_block(cloud.coords, Tensor(cloud.features9()), cfg, params,
-                    geometry=geom)
+    out = pct_block(cloud.coords, Tensor(cloud.features9()), cfg, params, geom)
     idx2 = geom.neighbor_idx.copy()
     for i, c in enumerate(geom.valid_counts):
         idx2[i, c:] = idx2[i, c - 1]       # pad with the farthest valid member
     geom2 = replace(geom, neighbor_idx=idx2)
-    out2 = pct_block(cloud.coords, Tensor(cloud.features9()), cfg, params,
-                     geometry=geom2)
+    out2 = pct_block(cloud.coords, Tensor(cloud.features9()), cfg, params, geom2)
     assert np.array_equal(out.features.data, out2.features.data)
 
 
@@ -144,13 +156,12 @@ def test_member_shuffle_invariance_on_full_groups():
     geom = build_level_geometry(cloud.coords, cfg, radius_scale=cloud.extent)
     assert np.all(geom.valid_counts == cfg.k)
 
-    base = pct_block(cloud.coords, Tensor(cloud.features9()), cfg, params,
-                     geometry=geom)
+    base = pct_block(cloud.coords, Tensor(cloud.features9()), cfg, params, geom)
     idx2 = geom.neighbor_idx.copy()
     for i in range(cfg.m):
         idx2[i] = idx2[i][rng.permutation(cfg.k)]
     out2 = pct_block(cloud.coords, Tensor(cloud.features9()), cfg, params,
-                     geometry=replace(geom, neighbor_idx=idx2))
+                     replace(geom, neighbor_idx=idx2))
     assert np.max(np.abs(base.features.data - out2.features.data)) <= 1e-10
 
 
@@ -164,7 +175,7 @@ def test_uniform_coincident_cloud_gives_uniform_outputs():
     assert cloud.degenerate
     cfg = _level(m=4, radius=0.5, k=5)
     params = init_level(rng, 9, cfg)
-    out = pct_block(cloud.coords, Tensor(cloud.features9()), cfg, params)
+    out = _block(cloud, cfg, params)
     assert np.max(np.abs(out.features.data - out.features.data[0])) <= 1e-12
 
 
@@ -176,7 +187,8 @@ def test_zero_features_zero_params_propagate_zeros():
     for p in params:
         for t in p.named("x").values():
             t.data[:] = 0.0
-    levels = encode_features(coords, Tensor(np.zeros((18, 4))), cfgs, params)
+    levels = encode_features(coords, Tensor(np.zeros((18, 4))), cfgs, params,
+                             _chain_geometry(coords, cfgs))
     for lv in levels:
         assert np.all(lv.features.data == 0.0)
 
@@ -186,8 +198,7 @@ def test_fn_disabled_is_identity_passthrough():
     cloud = _cloud(rng)
     cfg = _level(m=4, use_fn=False)
     trace = {}
-    pct_block(cloud.coords, Tensor(cloud.features9()), cfg,
-              init_level(rng, 9, cfg), trace=trace)
+    _block(cloud, cfg, init_level(rng, 9, cfg), trace=trace)
     assert trace["normed"] is trace["lifted"]
 
 
@@ -208,10 +219,10 @@ def test_encode_chain_grad_check():
     for i, p in enumerate(params):
         tracked.update(p.named(f"enc{i + 1}"))
     feats = cloud.features9()
+    geoms = _chain_geometry(cloud.coords, cfgs, cloud.extent)
 
     def objective():
-        levels = encode_features(cloud.coords, Tensor(feats), cfgs, params,
-                                 radius_scale=cloud.extent)
+        levels = encode_features(cloud.coords, Tensor(feats), cfgs, params, geoms)
         total = (levels[0].features * levels[0].features).mean()
         for lv in levels[1:]:
             total = total + (lv.features * lv.features).mean()
@@ -232,7 +243,7 @@ def test_degenerate_level_keeps_gradients_finite():
     params = [init_level(rng, 9, cfgs[0]), init_level(rng, 4, cfgs[1])]
 
     levels = encode_features(cloud.coords, Tensor(cloud.features9()), cfgs,
-                             params, radius_scale=cloud.extent)
+                             params, _chain_geometry(cloud.coords, cfgs, cloud.extent))
     loss = (levels[-1].features * levels[-1].features).mean()
     backward(loss)
 
@@ -256,8 +267,7 @@ def test_locality_without_global_stages():
 
     cloud = normalize_cloud(coords, colors)
     geom = build_level_geometry(cloud.coords, cfg, radius_scale=cloud.extent)
-    base = pct_block(cloud.coords, Tensor(cloud.features9()), cfg, params,
-                     geometry=geom)
+    base = pct_block(cloud.coords, Tensor(cloud.features9()), cfg, params, geom)
 
     # perturb the color of one point that is in no group
     used = set(geom.neighbor_idx.reshape(-1).tolist()) | set(geom.centroid_idx.tolist())
@@ -266,8 +276,7 @@ def test_locality_without_global_stages():
     colors2 = colors.copy()
     colors2[free[0]] = rng.uniform(0, 1, 3)
     cloud2 = normalize_cloud(coords, colors2)
-    out2 = pct_block(cloud2.coords, Tensor(cloud2.features9()), cfg, params,
-                     geometry=geom)
+    out2 = pct_block(cloud2.coords, Tensor(cloud2.features9()), cfg, params, geom)
     assert np.array_equal(base.features.data, out2.features.data)
 
 
@@ -284,8 +293,7 @@ def test_coincident_centroids_get_identical_features():
     cfg = _level(m=16, radius=0.3, k=4, use_psi_post=False)
     params = init_level(rng, 9, cfg)
     geom = build_level_geometry(cloud.coords, cfg, radius_scale=cloud.extent)
-    out = pct_block(cloud.coords, Tensor(cloud.features9()), cfg, params,
-                    geometry=geom)
+    out = pct_block(cloud.coords, Tensor(cloud.features9()), cfg, params, geom)
     rows = {int(np.flatnonzero(geom.centroid_idx == i)[0]) for i in (3, 7)}
     a, b = sorted(rows)
     assert np.allclose(out.features.data[a], out.features.data[b],
@@ -310,8 +318,7 @@ def test_trace_exposes_stage_outputs():
     cloud = _cloud(rng)
     cfg = _level(m=4)
     trace = {}
-    pct_block(cloud.coords, Tensor(cloud.features9()), cfg,
-              init_level(rng, 9, cfg), trace=trace)
+    _block(cloud, cfg, init_level(rng, 9, cfg), trace=trace)
     assert set(trace) == {"grouped", "lifted", "normed", "member_feats",
                           "pooled", "seeds"}
     assert trace["grouped"].neighbor_features.shape[-1] == 12  # 9 + 3 offsets
@@ -326,7 +333,7 @@ def test_single_level_grad_check():
     feats = cloud.features9()
 
     def objective():
-        out = pct_block(cloud.coords, Tensor(feats), cfg, params, geometry=geom)
+        out = pct_block(cloud.coords, Tensor(feats), cfg, params, geom)
         return (out.features * out.features).mean()
 
     report = grad_check(objective, params.named("enc"))

@@ -1,31 +1,22 @@
-"""Geometry kernels against brute-force oracles, plus backend agreement.
+"""Geometry kernels against brute-force oracles.
 
-The numpy and numba implementations must be bit-identical; correctness is
-established against independent pure-python reimplementations. The blocked
-numpy kernels must also be bit-identical to the full-row argsort
-formulations they replaced, which are kept below as oracles.
+Correctness is established against independent pure-python
+reimplementations. The blocked kernels must also be bit-identical to the
+full-row argsort formulations they replaced, which are kept below as oracles.
 """
 
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from psformer import _kernels
-from psformer._kernels import (ACTIVE_BACKEND, HAVE_NUMBA, _COINCIDENT_D2,
-                               _IDW_EPS, _lex_centroid, ball_query,
-                               ball_query_numpy, fps_indices, fps_numpy,
-                               nearest_index, three_nn, three_nn_numpy)
+from psformer._kernels import (_COINCIDENT_D2, _IDW_EPS, _lex_centroid,
+                               ball_query, fps_indices, nearest_index,
+                               three_nn)
 from psformer.config import ModelConfig
 from psformer.model import PSFormer
 from psformer.training import gen_synthetic_scene
-
-if HAVE_NUMBA:
-    from psformer._kernels import (ball_query_numba, fps_numba,
-                                   three_nn_numba)
 
 
 def _fps_reference(coords, m):
@@ -346,7 +337,7 @@ def default_scene_oracle():
 def test_default_scene_fps_matches_argsort_oracle(default_scene_oracle):
     _, levels, _ = default_scene_oracle
     for coords, m, _, _, ci, _ in levels:
-        assert np.array_equal(fps_numpy(coords, m, _lex_centroid(coords)), ci)
+        assert np.array_equal(fps_indices(coords, m), ci)
 
 
 @pytest.mark.parametrize("block", [None, 1, 5 * 4096 + 3, 1 << 40],
@@ -357,10 +348,10 @@ def test_default_scene_bit_identical_at_any_block_size(default_scene_oracle,
     if block is not None:
         monkeypatch.setattr(_kernels, "BLOCK_PAIRS", block)
     for coords, _, r, k, ci, (oi, oc) in levels:
-        gi, gc = ball_query_numpy(coords, ci, r, k)
+        gi, gc = ball_query(coords, ci, r, k)
         assert np.array_equal(gi, oi) and np.array_equal(gc, oc)
     for dst, src, (oi, ow) in steps:
-        gi, gw = three_nn_numpy(dst, src)
+        gi, gw = three_nn(dst, src)
         assert np.array_equal(gi, oi) and np.array_equal(gw, ow)
     if block is None:
         geom = PSFormer(ModelConfig.default()).build_geometry(cloud)
@@ -433,7 +424,7 @@ def test_fps_full_sample_on_duplicated_points():
 def test_fps_numpy_rejects_more_samples_than_points():
     coords = np.zeros((3, 3))
     with pytest.raises(ValueError):
-        fps_numpy(coords, 4, _lex_centroid(coords))
+        fps_indices(coords, 4)
 
 
 # nearest-seed assignment -------------------------------------------------------
@@ -465,38 +456,3 @@ def test_nearest_index_memory_stays_at_one_block():
     # the (N, k, 3) broadcast it replaces peaks near 300 MB at this size; the
     # blocked search holds the 1.6 MB result plus two 512 KB block buffers
     assert peak < 4 * 2**20, peak
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba backend not active")
-def test_numba_and_numpy_backends_bit_identical():
-    from psformer._kernels import _lex_centroid
-
-    rng = np.random.default_rng(8)
-    for _ in range(25):
-        n = int(rng.integers(4, 60))
-        coords = np.ascontiguousarray(rng.uniform(-3, 3, (n, 3)))
-        m = int(rng.integers(1, n + 1))
-        centroid = _lex_centroid(coords)
-        assert np.array_equal(fps_numpy(coords, m, centroid),
-                              fps_numba(coords, m, centroid))
-
-        centroid_idx = fps_numpy(coords, min(m, 8), centroid)
-        radius, k = float(rng.uniform(0.3, 2.0)), int(rng.integers(1, 7))
-        ai, ac = ball_query_numpy(coords, centroid_idx, radius, k)
-        bi, bc = ball_query_numba(coords, centroid_idx, radius, k)
-        assert np.array_equal(ai, bi) and np.array_equal(ac, bc)
-
-        src = np.ascontiguousarray(rng.uniform(-3, 3, (int(rng.integers(1, 12)), 3)))
-        ai, aw = three_nn_numpy(coords, src)
-        bi, bw = three_nn_numba(coords, src)
-        assert np.array_equal(ai, bi)
-        assert np.array_equal(aw, bw)      # bitwise, not allclose
-
-
-def test_psf_numba_flag_selects_backend():
-    code = ("from psformer._kernels import ACTIVE_BACKEND; print(ACTIVE_BACKEND)")
-    out = subprocess.run([sys.executable, "-c", code],
-                         env=dict(os.environ, PSF_NUMBA="0"),
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "numpy", out.stderr
-    assert ACTIVE_BACKEND in ("numpy", "numba")

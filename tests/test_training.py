@@ -183,6 +183,29 @@ def test_train_probe_and_early_stop():
     assert res.train_metrics.iou >= 0.05
 
 
+def test_train_stops_on_non_finite_loss_before_any_update():
+    cfg = ModelConfig.tiny()
+    cfg.train.eval_every = 0
+    scenes = make_scenes(cfg.data, 2, seed0=0)
+    model = PSFormer(cfg, seed=0)
+    opt = Adam(model.parameters(), lr=cfg.optim.lr)
+    train_model(model, scenes, optimizer=opt, epochs=1)   # non-trivial state
+    model.parameters()["head.b2"].data[0] = np.nan
+    before = {k: p.data.copy() for k, p in model.parameters().items()}
+    state = opt.state_dict()
+
+    with pytest.raises(ContractError, match=r"non-finite loss nan at epoch 1"):
+        train_model(model, scenes, optimizer=opt, epochs=3)
+
+    assert opt.t == state["t"] > 0
+    for k in state["m"]:
+        assert np.array_equal(opt.m[k], state["m"][k]), k
+        assert np.array_equal(opt.v[k], state["v"][k]), k
+    for k, p in model.parameters().items():
+        assert np.array_equal(p.data, before[k], equal_nan=True), k
+        assert p.grad is None, k
+
+
 def test_train_requires_labeled_scenes():
     cfg = ModelConfig.tiny()
     scene = gen_synthetic_scene(0, cfg.data)
