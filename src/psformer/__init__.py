@@ -16,14 +16,7 @@ from .config import ConfigError, ModelConfig, load_config, parse_config, seriali
 from .metrics import MetricsReport, evaluate, parse_report, write_report
 from .model import PSFormer, SaliencyPrediction
 from .plyio import PlyParseError, parse_ply, write_ply
-from .pointcloud import (
-    GroupedSet,
-    PointCloud,
-    ball_group,
-    farthest_point_sample,
-    interpolate_up,
-    normalize_cloud,
-)
+from .pointcloud import PointCloud, farthest_point_sample, normalize_cloud
 from .training import Adam, eval_model, gen_synthetic_scene, run_ablation, train_model
 
 __all__ = [
@@ -32,7 +25,6 @@ __all__ = [
     "CheckpointError",
     "ConfigError",
     "ContractError",
-    "GroupedSet",
     "MetricsReport",
     "ModelConfig",
     "PSFormer",
@@ -42,13 +34,11 @@ __all__ = [
     "ShapeError",
     "Tensor",
     "backward",
-    "ball_group",
     "eval_model",
     "evaluate",
     "farthest_point_sample",
     "gen_synthetic_scene",
     "grad_check",
-    "interpolate_up",
     "load_checkpoint",
     "load_config",
     "model_from_checkpoint",

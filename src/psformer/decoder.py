@@ -28,7 +28,6 @@ from .autodiff import (
     relu,
     sigmoid,
 )
-from .encoder import EncoderLevelOutput
 from .pointcloud import PointCloud
 
 
@@ -87,8 +86,6 @@ class HeadParams:
 class SaliencyPrediction:
     logits: Tensor             # (N,), kept differentiable for the loss
     probabilities: np.ndarray  # (N,) sigmoid of logits
-    mask: np.ndarray           # (N,) probabilities > threshold, strict
-    threshold: float
 
 
 def init_ut(rng: np.random.Generator, d_up: int, d_skip: int,
@@ -116,14 +113,13 @@ def init_head(rng: np.random.Generator, d_in: int, d_hidden: int) -> HeadParams:
     )
 
 
-def ut_block(upper: EncoderLevelOutput, skip: EncoderLevelOutput, params: UTParams,
-             interp: tuple) -> EncoderLevelOutput:
+def ut_block(upper: Tensor, skip: Tensor, params: UTParams, interp: tuple) -> Tensor:
     """Trans(C(U(upper), skip)) at the skip resolution. interp is the
-    (indices, weights) pair of the upsampling step from upper.coords onto
-    skip.coords (pointcloud.interp_weights)."""
+    (indices, weights) pair of the upsampling step from upper's points onto
+    skip's points (pointcloud.interp_weights)."""
     idx, w = interp
-    up = interp_apply(upper.features, idx, w)
-    cat = concat([up, skip.features], axis=-1)
+    up = interp_apply(upper, idx, w)
+    cat = concat([up, skip], axis=-1)
     if cat.shape[-1] != params.fuse_w.shape[0]:
         raise ShapeError(
             f"ut_block: concatenated width {cat.shape[-1]} does not match "
@@ -131,7 +127,7 @@ def ut_block(upper: EncoderLevelOutput, skip: EncoderLevelOutput, params: UTPara
     fused = cat @ params.fuse_w + params.fuse_b
     if params.trans is not None:
         fused = trans_block(fused, params.trans)
-    return EncoderLevelOutput(coords=skip.coords, features=fused)
+    return fused
 
 
 def decode(levels, cloud: PointCloud, params: DecoderParams,
@@ -145,11 +141,11 @@ def decode(levels, cloud: PointCloud, params: DecoderParams,
             f"decode: {len(levels)} levels, {len(params.uts)} UT blocks and "
             f"{len(interp_chain)} interpolation steps")
     stem = Tensor(cloud.features9()) @ params.stem_w + params.stem_b
-    skips = list(levels[:-1])[::-1] + [EncoderLevelOutput(cloud.coords, stem)]
+    skips = list(levels[:-1])[::-1] + [stem]
     current = levels[-1]
     for skip, ut, interp in zip(skips, params.uts, interp_chain):
         current = ut_block(current, skip, ut, interp)
-    return current.features
+    return current
 
 
 def mca(levels, params: MCAParams) -> Tensor:
@@ -160,13 +156,13 @@ def mca(levels, params: MCAParams) -> Tensor:
         raise ContractError(f"mca: {len(levels)} levels but {len(params.w)} MLPs")
     pieces = []
     for level, w, b in zip(levels, params.w, params.b):
-        h = relu(level.features @ w + b)
+        h = relu(level @ w + b)
         pieces.append(column_max(h))
     return concat(pieces, axis=0)
 
 
-def predict_head(point_features, context: Tensor | None, params: HeadParams,
-                 threshold: float = 0.5) -> SaliencyPrediction:
+def predict_head(point_features, context: Tensor | None,
+                 params: HeadParams) -> SaliencyPrediction:
     """Broadcast-concat the scene context onto every point row, then a
     two-layer MLP to one logit per point. context=None drops the context
     columns (the no-context ablation); parameter widths must agree."""
@@ -182,10 +178,4 @@ def predict_head(point_features, context: Tensor | None, params: HeadParams,
             f"weights {params.w1.shape}")
     h = relu(f @ params.w1 + params.b1)
     logits = (h @ params.w2 + params.b2).reshape(n)
-    probs = sigmoid(logits).data
-    return SaliencyPrediction(
-        logits=logits,
-        probabilities=probs,
-        mask=probs > threshold,
-        threshold=threshold,
-    )
+    return SaliencyPrediction(logits=logits, probabilities=sigmoid(logits).data)

@@ -4,48 +4,29 @@ Each level: farthest point sampling -> ball grouping with relative
 coordinates appended -> linear lift -> feature normalization -> local
 attention within each group (psi_pre) -> channelwise max-pool over valid
 members -> global attention over the sampled seeds (psi_post). Five levels
-are chained; stage flags turn FN / psi_pre / psi_post into identity
-pass-throughs for ablations.
+are chained, each passing on a plain (M, d_out) feature Tensor. A level runs
+FN, psi_pre and psi_post only when it holds that stage's parameters, so an
+ablated model skips the stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import TransParams, init_trans, trans_block
-from .autodiff import ContractError, Tensor, as_tensor, group_max_pool
+from .attention import TransParams, glorot, init_trans, trans_block
+from .autodiff import ContractError, Tensor, as_tensor, concat, gather_rows, group_max_pool
+from .config import LevelSpec
 from .featurenorm import FNParams, fn_apply, init_fn
-from .pointcloud import append_rel_coords, farthest_point_sample, gather_groups, group_indices
-
-
-@dataclass
-class PCTLevelConfig:
-    m: int            # seeds sampled at this level
-    radius: float     # grouping radius, in normalized units of the input cloud
-    k: int            # max group size
-    d_out: int
-    use_fn: bool = True
-    use_psi_pre: bool = True
-    use_psi_post: bool = True
-
-
-@dataclass
-class EncoderLevelOutput:
-    coords: np.ndarray   # (M, 3), a subset of the input cloud's coords
-    features: Tensor     # (M, d_out)
-
-    @property
-    def m(self) -> int:
-        return self.coords.shape[0]
+from .pointcloud import farthest_point_sample, group_indices
 
 
 @dataclass
 class PCTLevelParams:
     lift_w: Tensor                   # (d_in + 3, d_out)
     lift_b: Tensor | None            # absent under FN (see init_level)
-    fn: FNParams | None = None       # present iff use_fn
+    fn: FNParams | None = None       # None skips FN (ablation)
     psi_pre: TransParams | None = None
     psi_post: TransParams | None = None
 
@@ -62,18 +43,18 @@ class PCTLevelParams:
         return out
 
 
-def init_level(rng: np.random.Generator, d_in: int, cfg: PCTLevelConfig,
-               fn_eps: float = 1e-5) -> PCTLevelParams:
+def init_level(rng: np.random.Generator, d_in: int, d_out: int, *,
+               use_fn: bool = True, use_psi_pre: bool = True,
+               use_psi_post: bool = True, fn_eps: float = 1e-5) -> PCTLevelParams:
     """A lift bias is created only when FN is off: FN subtracts the centroid
     feature from each member, so a per-channel shift cancels exactly and the
     bias would be an untrainable dead parameter; FN's beta plays its role."""
-    from .attention import glorot
     return PCTLevelParams(
-        lift_w=glorot(rng, d_in + 3, cfg.d_out),
-        lift_b=None if cfg.use_fn else Tensor(np.zeros(cfg.d_out), requires_grad=True),
-        fn=init_fn(cfg.d_out, fn_eps) if cfg.use_fn else None,
-        psi_pre=init_trans(rng, cfg.d_out) if cfg.use_psi_pre else None,
-        psi_post=init_trans(rng, cfg.d_out) if cfg.use_psi_post else None,
+        lift_w=glorot(rng, d_in + 3, d_out),
+        lift_b=None if use_fn else Tensor(np.zeros(d_out), requires_grad=True),
+        fn=init_fn(d_out, fn_eps) if use_fn else None,
+        psi_pre=init_trans(rng, d_out) if use_psi_pre else None,
+        psi_post=init_trans(rng, d_out) if use_psi_post else None,
     )
 
 
@@ -87,60 +68,50 @@ class LevelGeometry:
     valid_counts: np.ndarray
 
 
-def build_level_geometry(coords: np.ndarray, cfg: PCTLevelConfig,
+def build_level_geometry(coords: np.ndarray, spec: LevelSpec,
                          radius_scale: float = 1.0) -> LevelGeometry:
-    if coords.shape[0] < cfg.m:
+    if coords.shape[0] < spec.m:
         raise ContractError(
-            f"pct level needs at least {cfg.m} points, got {coords.shape[0]}")
-    centroid_idx = farthest_point_sample(coords, cfg.m)
+            f"pct level needs at least {spec.m} points, got {coords.shape[0]}")
+    centroid_idx = farthest_point_sample(coords, spec.m)
     neighbor_idx, counts = group_indices(
-        coords, centroid_idx, cfg.radius * radius_scale, cfg.k)
+        coords, centroid_idx, spec.radius * radius_scale, spec.k)
     return LevelGeometry(centroid_idx, neighbor_idx, counts)
 
 
-def pct_block(coords: np.ndarray, features, cfg: PCTLevelConfig,
-              params: PCTLevelParams, geometry: LevelGeometry,
-              trace: dict | None = None) -> EncoderLevelOutput:
+def pct_block(coords: np.ndarray, features, geometry: LevelGeometry,
+              params: PCTLevelParams) -> Tensor:
+    """One level on (N, d_in) features at coords: the (M, d_out) features of
+    its seeds, geometry.centroid_idx. Each member's offset from its centroid
+    is appended before the lift; FN centers members on the lifted centroid
+    feature, whose own offset is zero."""
     features = as_tensor(features)
-    groups = gather_groups(coords, features, geometry.centroid_idx,
-                           geometry.neighbor_idx, geometry.valid_counts)
-    groups = append_rel_coords(groups)
-    nb = groups.neighbor_features @ params.lift_w
-    ctr = groups.centroid_features @ params.lift_w
-    if params.lift_b is not None:
-        nb = nb + params.lift_b
-        ctr = ctr + params.lift_b
-    lifted = replace(groups, neighbor_features=nb, centroid_features=ctr)
-    if trace is not None:
-        trace["grouped"] = groups
-        trace["lifted"] = lifted
+    ctr_idx, nb_idx = geometry.centroid_idx, geometry.neighbor_idx
 
-    normed = fn_apply(lifted, params.fn) if cfg.use_fn else lifted
-    member_feats = normed.neighbor_features
-    if cfg.use_psi_pre:
-        member_feats = trans_block(member_feats, params.psi_pre)
-    pooled = group_max_pool(member_feats, geometry.valid_counts)
-    if cfg.use_psi_post:
-        seeds = trans_block(pooled, params.psi_post)
-    else:
-        seeds = pooled
-    if trace is not None:
-        trace["normed"] = normed
-        trace["member_feats"] = member_feats
-        trace["pooled"] = pooled
-        trace["seeds"] = seeds
+    def lift(x: Tensor, offsets: np.ndarray) -> Tensor:
+        y = concat([x, Tensor(offsets)], axis=-1) @ params.lift_w
+        return y if params.lift_b is None else y + params.lift_b
 
-    return EncoderLevelOutput(coords=coords[geometry.centroid_idx], features=seeds)
+    members = lift(gather_rows(features, nb_idx),
+                   coords[nb_idx] - coords[ctr_idx][:, None, :])
+    if params.fn is not None:
+        centroids = lift(gather_rows(features, ctr_idx), np.zeros((len(ctr_idx), 3)))
+        members = fn_apply(members, centroids, params.fn)
+    if params.psi_pre is not None:
+        members = trans_block(members, params.psi_pre)
+    seeds = group_max_pool(members, geometry.valid_counts)
+    if params.psi_post is not None:
+        seeds = trans_block(seeds, params.psi_post)
+    return seeds
 
 
-def encode_features(coords: np.ndarray, features, cfgs, params, geometry):
-    """Chain pct_block over each level config with that level's geometry.
-    Level l consumes level l-1's coords and features; returns one
-    EncoderLevelOutput per level."""
+def encode_features(coords: np.ndarray, features, params, geometry) -> list:
+    """Chain pct_block over each level's parameters and geometry. Level l
+    consumes level l-1's seeds; returns every level's feature Tensor."""
     levels = []
     feats = as_tensor(features)
-    for cfg, p, geom in zip(cfgs, params, geometry):
-        out = pct_block(coords, feats, cfg, p, geom)
-        levels.append(out)
-        coords, feats = out.coords, out.features
+    for p, geom in zip(params, geometry):
+        feats = pct_block(coords, feats, geom, p)
+        levels.append(feats)
+        coords = coords[geom.centroid_idx]
     return levels

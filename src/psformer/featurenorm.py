@@ -8,12 +8,11 @@ normalization, not batch normalization; no running statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import ContractError, Tensor, sqrt
-from .pointcloud import GroupedSet
 
 
 @dataclass
@@ -38,22 +37,21 @@ def init_fn(d: int, epsilon: float = 1e-5) -> FNParams:
     )
 
 
-def group_std(groups: GroupedSet) -> Tensor:
+def group_std(members: Tensor, centroids: Tensor) -> Tensor:
     """sigma = sqrt(mean over all (group, member, channel) of (f_ij - f_i)^2),
-    deviations against each group's centroid feature. Padded members count,
-    consistent with the fixed k-member sum."""
-    m, k, d = groups.neighbor_features.shape
+    deviations of the (M, K, d) members against each group's (M, d) centroid
+    feature. Padded members count, consistent with the fixed k-member sum."""
+    m, k, d = members.shape
     if m < 1 or k < 1 or d < 1:
         raise ContractError(f"group_std: empty grouped set {(m, k, d)}")
-    diff = groups.neighbor_features - groups.centroid_features.reshape(m, 1, d)
+    diff = members - centroids.reshape(m, 1, d)
     return sqrt((diff * diff).mean())
 
 
-def fn_apply(groups: GroupedSet, params: FNParams) -> GroupedSet:
-    """neighbor_features become alpha * (f_ij - f_i) / (sigma + eps) + beta.
-    Centroid features and all geometry are untouched."""
-    m, _, d = groups.neighbor_features.shape
-    sigma = group_std(groups)
-    diff = groups.neighbor_features - groups.centroid_features.reshape(m, 1, d)
-    normed = params.alpha * (diff / (sigma + params.epsilon)) + params.beta
-    return replace(groups, neighbor_features=normed)
+def fn_apply(members: Tensor, centroids: Tensor, params: FNParams) -> Tensor:
+    """alpha * (f_ij - f_i) / (sigma + eps) + beta for every (M, K, d) member
+    f_ij of the group around centroid feature f_i."""
+    m, _, d = members.shape
+    sigma = group_std(members, centroids)
+    diff = members - centroids.reshape(m, 1, d)
+    return params.alpha * (diff / (sigma + params.epsilon)) + params.beta

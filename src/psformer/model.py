@@ -22,13 +22,7 @@ from .decoder import (
     mca,
     predict_head,
 )
-from .encoder import (
-    LevelGeometry,
-    PCTLevelConfig,
-    build_level_geometry,
-    encode_features,
-    init_level,
-)
+from .encoder import build_level_geometry, encode_features, init_level
 from .pointcloud import PointCloud, interp_weights
 
 
@@ -39,7 +33,6 @@ class ModelGeometry:
     so it is reused across parameter updates and finite-difference evals."""
 
     levels: list            # N_LEVELS LevelGeometry
-    level_coords: list      # coords after each level's sampling
     interp: list            # N_LEVELS (indices, weights) pairs, coarsest first
 
 
@@ -51,20 +44,16 @@ class PSFormer:
         config.validate()
         self.config = config
         m = config.model
-        self.level_cfgs = [
-            PCTLevelConfig(lv.m, lv.radius, lv.k, lv.d_out,
-                           use_fn=m.use_fn, use_psi_pre=m.use_psi_pre,
-                           use_psi_post=m.use_psi_post)
-            for lv in config.levels
-        ]
         rng = np.random.default_rng(m.seed if seed is None else seed)
 
         widths = config.level_widths
         d_in = 9
         self.level_params = []
-        for cfg in self.level_cfgs:
-            self.level_params.append(init_level(rng, d_in, cfg, fn_eps=m.fn_eps))
-            d_in = cfg.d_out
+        for d_out in widths:
+            self.level_params.append(init_level(
+                rng, d_in, d_out, use_fn=m.use_fn, use_psi_pre=m.use_psi_pre,
+                use_psi_post=m.use_psi_post, fn_eps=m.fn_eps))
+            d_in = d_out
 
         d_dec = widths[0]
         stem_w = glorot(rng, 9, d_dec)
@@ -112,28 +101,27 @@ class PSFormer:
         scale = cloud.extent if cloud.extent > 0 else 1.0
         geoms, coords_chain = [], []
         coords = cloud.coords
-        for cfg in self.level_cfgs:
-            g = build_level_geometry(coords, cfg, radius_scale=scale)
+        for spec in self.config.levels:
+            g = build_level_geometry(coords, spec, radius_scale=scale)
             geoms.append(g)
             coords = coords[g.centroid_idx]
             coords_chain.append(coords)
         dsts = coords_chain[-2::-1] + [cloud.coords]
         srcs = coords_chain[::-1]
         interp = [interp_weights(s, d) for s, d in zip(srcs, dsts)]
-        return ModelGeometry(levels=geoms, level_coords=coords_chain, interp=interp)
+        return ModelGeometry(levels=geoms, interp=interp)
 
     # forward ------------------------------------------------------------
 
-    def forward(self, cloud: PointCloud, geometry: ModelGeometry | None = None,
-                threshold: float | None = None) -> SaliencyPrediction:
+    def forward(self, cloud: PointCloud,
+                geometry: ModelGeometry | None = None) -> SaliencyPrediction:
         if cloud.n < self.config.levels[0].m:
             raise ContractError(
                 f"cloud has {cloud.n} points, level 1 needs {self.config.levels[0].m}")
         if geometry is None:
             geometry = self.build_geometry(cloud)
         levels = encode_features(cloud.coords, Tensor(cloud.features9()),
-                                 self.level_cfgs, self.level_params, geometry.levels)
+                                 self.level_params, geometry.levels)
         feats = decode(levels, cloud, self.dec_params, geometry.interp)
         ctx = mca(levels, self.mca_params) if self.mca_params is not None else None
-        thr = self.config.model.threshold if threshold is None else threshold
-        return predict_head(feats, ctx, self.head_params, threshold=thr)
+        return predict_head(feats, ctx, self.head_params)

@@ -1,9 +1,11 @@
-"""Point cloud container and geometric primitives.
+"""Point cloud container and the coordinate-only primitives of the model's
+geometry.
 
 Clouds carry raw coordinates, RGB colors in [0, 1], and coordinates
-normalized to the unit cube by a single per-cloud extent. Grouping and
-interpolation keep gradients flowing through features while treating geometry
-(indices, weights, relative offsets) as constants.
+normalized to the unit cube by a single per-cloud extent. Sampling, ball
+query and 3-NN interpolation weights depend on coordinates alone, so
+`PSFormer.build_geometry` computes them once per cloud and the layers only
+gather features with them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .autodiff import ContractError, Tensor, as_tensor, concat, gather_rows, interp_apply
+from .autodiff import ContractError
 
 
 @dataclass
@@ -55,12 +57,19 @@ def normalize_cloud(coords: np.ndarray, colors: np.ndarray | None = None,
         raise ContractError(f"normalize_cloud: need (N, 3) coords, got {coords.shape}")
     if not np.isfinite(coords).all():
         raise ContractError("normalize_cloud: coords contain non-finite values")
+    n = coords.shape[0]
     if colors is None:
         colors = np.full_like(coords, 0.5)
     else:
         colors = np.asarray(colors, dtype=np.float64)
+        if colors.shape != (n, 3):
+            raise ContractError(
+                f"normalize_cloud: need ({n}, 3) colors, got {colors.shape}")
     if labels is not None:
         labels = np.asarray(labels, dtype=bool)
+        if labels.shape != (n,):
+            raise ContractError(
+                f"normalize_cloud: need ({n},) labels, got {labels.shape}")
 
     lo = coords.min(axis=0)
     extent = float((coords.max(axis=0) - lo).max())
@@ -71,10 +80,8 @@ def normalize_cloud(coords: np.ndarray, colors: np.ndarray | None = None,
     return PointCloud(coords, colors, norm, labels, extent=extent)
 
 
-def farthest_point_sample(coords, m: int) -> np.ndarray:
+def farthest_point_sample(coords: np.ndarray, m: int) -> np.ndarray:
     """Indices of m greedily max-min sampled points (see _kernels.fps_indices)."""
-    if isinstance(coords, PointCloud):
-        coords = coords.coords
     coords = np.asarray(coords, dtype=np.float64)
     n = coords.shape[0]
     if not 1 <= m <= n:
@@ -82,32 +89,10 @@ def farthest_point_sample(coords, m: int) -> np.ndarray:
     return _kernels.fps_indices(coords, m)
 
 
-@dataclass
-class GroupedSet:
-    """Per-centroid neighborhoods: features, relative offsets, true sizes."""
-
-    centroid_indices: np.ndarray    # (M,) into the parent cloud
-    centroid_features: Tensor       # (M, d)
-    neighbor_features: Tensor       # (M, K, d)
-    neighbor_rel_coords: np.ndarray  # (M, K, 3), p_j - p_centroid
-    valid_counts: np.ndarray        # (M,) in [1, K]
-
-    @property
-    def n_groups(self) -> int:
-        return self.neighbor_rel_coords.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.neighbor_rel_coords.shape[1]
-
-    @property
-    def d(self) -> int:
-        return self.neighbor_features.shape[-1]
-
-
 def group_indices(coords: np.ndarray, centroid_idx: np.ndarray, radius: float, k: int):
-    """Neighbor indices and valid counts for ball_group (separated so callers
-    can cache them: they depend on coordinates only)."""
+    """(M, k) indices of up to k in-radius nearest neighbors of each centroid,
+    and the (M,) true counts. Rows with fewer than k in-radius points are
+    padded by repeating the nearest qualifying entry."""
     if radius <= 0:
         raise ContractError(f"ball query radius must be positive, got {radius}")
     if k < 1:
@@ -115,54 +100,10 @@ def group_indices(coords: np.ndarray, centroid_idx: np.ndarray, radius: float, k
     return _kernels.ball_query(coords, centroid_idx, radius, k)
 
 
-def gather_groups(coords: np.ndarray, features, centroid_idx: np.ndarray,
-                  neighbor_idx: np.ndarray, valid_counts: np.ndarray) -> GroupedSet:
-    features = as_tensor(features)
-    centroid_idx = np.asarray(centroid_idx, dtype=np.int64)
-    rel = coords[neighbor_idx] - coords[centroid_idx][:, None, :]
-    return GroupedSet(
-        centroid_indices=centroid_idx,
-        centroid_features=gather_rows(features, centroid_idx),
-        neighbor_features=gather_rows(features, neighbor_idx),
-        neighbor_rel_coords=rel,
-        valid_counts=valid_counts,
-    )
-
-
-def ball_group(coords: np.ndarray, features, centroid_idx, radius: float,
-               k: int) -> GroupedSet:
-    """Group up-to-k in-radius nearest neighbors around each centroid.
-
-    Rows with fewer than k in-radius points are padded by repeating the
-    nearest qualifying entry; valid_counts records the true count.
-    """
-    coords = np.asarray(coords, dtype=np.float64)
-    centroid_idx = np.asarray(centroid_idx, dtype=np.int64)
-    idx, counts = group_indices(coords, centroid_idx, radius, k)
-    return gather_groups(coords, features, centroid_idx, idx, counts)
-
-
 def interp_weights(src_coords: np.ndarray, dst_coords: np.ndarray):
-    """3-NN inverse-distance indices/weights from src to dst (cacheable)."""
+    """Indices and weights of the 3-NN interpolation from src onto dst (see
+    _kernels.three_nn), for autodiff.interp_apply; a destination coincident
+    with a source copies it exactly."""
     if src_coords.shape[0] < 1:
-        raise ContractError("interpolate_up: need at least one source point")
+        raise ContractError("interp_weights: need at least one source point")
     return _kernels.three_nn(dst_coords, src_coords)
-
-
-def interpolate_up(src_coords: np.ndarray, src_features, dst_coords: np.ndarray) -> Tensor:
-    """Inverse-distance-weighted average of the 3 nearest source features at
-    each destination; a destination coincident with a source copies it exactly."""
-    idx, w = interp_weights(np.asarray(src_coords, dtype=np.float64),
-                            np.asarray(dst_coords, dtype=np.float64))
-    return interp_apply(as_tensor(src_features), idx, w)
-
-
-def append_rel_coords(groups: GroupedSet) -> GroupedSet:
-    """Concatenate each neighbor's offset from its centroid onto its features.
-
-    Centroid features get zero offsets, matching their own in-group entry.
-    """
-    m = groups.n_groups
-    nb = concat([groups.neighbor_features, Tensor(groups.neighbor_rel_coords)], axis=-1)
-    ctr = concat([groups.centroid_features, Tensor(np.zeros((m, 3)))], axis=-1)
-    return replace(groups, neighbor_features=nb, centroid_features=ctr)

@@ -58,8 +58,11 @@ class Adam(object):
             raise ContractError("Adam state does not match the parameter set")
         self.t = int(state["t"])
         for k in self.m:
-            if state["m"][k].shape != self.m[k].shape:
-                raise ContractError(f"Adam state shape mismatch for {k}")
+            for moment in ("m", "v"):
+                got = np.shape(state[moment][k])
+                if got != self.m[k].shape:
+                    raise ContractError(f"Adam state shape mismatch for {k}: "
+                                        f"{moment} {got} != {self.m[k].shape}")
             self.m[k] = np.array(state["m"][k], dtype=np.float64)
             self.v[k] = np.array(state["v"][k], dtype=np.float64)
 

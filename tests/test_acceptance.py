@@ -17,13 +17,11 @@ from psformer.checkpoint import model_from_checkpoint, save_checkpoint
 from psformer.cli import cmd_gradcheck
 from psformer.config import ABLATION_FLAGS, LevelSpec, ModelConfig
 from psformer.decoder import MCAParams, mca
-from psformer.encoder import EncoderLevelOutput
 from psformer.featurenorm import FNParams, fn_apply, group_std
 from psformer.metrics import (e_measure, evaluate, f_measure, format_table,
                               iou, mae, parse_report, write_report)
 from psformer.model import PSFormer
 from psformer.plyio import PlyParseError, parse_ply, write_ply
-from psformer.pointcloud import GroupedSet
 from psformer.training import (gen_synthetic_scene, make_scenes, run_ablation,
                                train_model)
 
@@ -128,20 +126,19 @@ def test_equation_oracles(capsys):
             m, k, d = rng.integers(1, 7), rng.integers(1, 6), rng.integers(1, 7)
             neigh = rng.normal(0, 2, (m, k, d))
             cent = rng.normal(0, 2, (m, d))
-            groups = GroupedSet(
-                centroid_indices=np.arange(m),
-                centroid_features=Tensor(cent),
-                neighbor_features=Tensor(neigh),
-                neighbor_rel_coords=rng.normal(0, 1, (m, k, 3)),
-                valid_counts=rng.integers(1, k + 1, m))
+            # offsets and valid counts, which FN never reads: drawn to keep
+            # the seeded instances
+            rng.normal(0, 1, (m, k, 3))
+            rng.integers(1, k + 1, m)
+            members, centroids = Tensor(neigh), Tensor(cent)
             alpha, beta = rng.normal(0, 1, d), rng.normal(0, 1, d)
             params = FNParams(alpha=Tensor(alpha), beta=Tensor(beta))
             sig_ref, out_ref = _fn_oracle(neigh, cent, alpha, beta,
                                           params.epsilon)
             worst_fn = max(worst_fn,
-                           abs(group_std(groups).item() - sig_ref),
-                           np.abs(fn_apply(groups, params).neighbor_features
-                                  .data - out_ref).max())
+                           abs(group_std(members, centroids).item() - sig_ref),
+                           np.abs(fn_apply(members, centroids, params).data
+                                  - out_ref).max())
 
         worst_att = 0.0
         for _ in range(100):
@@ -162,8 +159,7 @@ def test_equation_oracles(capsys):
                 feats.append(rng.normal(0, 1, (n, d_in)))
                 ws.append(rng.normal(0, 1, (d_in, d_c)))
                 bs.append(rng.normal(0, 1, d_c))
-            levels = [EncoderLevelOutput(coords=np.zeros((f.shape[0], 3)),
-                                         features=Tensor(f)) for f in feats]
+            levels = [Tensor(f) for f in feats]
             params = MCAParams(w=[Tensor(w) for w in ws],
                                b=[Tensor(b) for b in bs])
             got = mca(levels, params).data
@@ -248,12 +244,9 @@ def test_symmetry_suite(capsys):
                 w=[Tensor(rng.normal(0, 1, (f.shape[1], d_c)))
                    for f in feats],
                 b=[Tensor(rng.normal(0, 1, d_c)) for _ in feats])
-            levels = [EncoderLevelOutput(np.zeros((f.shape[0], 3)), Tensor(f))
-                      for f in feats]
+            levels = [Tensor(f) for f in feats]
             base = mca(levels, params).data
-            shuffled = [EncoderLevelOutput(
-                np.zeros((f.shape[0], 3)),
-                Tensor(f[rng.permutation(f.shape[0])])) for f in feats]
+            shuffled = [Tensor(f[rng.permutation(f.shape[0])]) for f in feats]
             worst_mca = max(worst_mca,
                             np.abs(mca(shuffled, params).data
                                    - base).max())

@@ -11,7 +11,6 @@ from psformer.autodiff import ShapeError, Tensor, grad_check
 from psformer.decoder import (HeadParams, MCAParams, UTParams, decode,
                               init_head, init_mca, init_ut, mca, predict_head,
                               ut_block)
-from psformer.encoder import EncoderLevelOutput
 from psformer.pointcloud import interp_weights, normalize_cloud
 from psformer.autodiff import ContractError, interp_apply, concat, relu, column_max
 from psformer.checkpoint import model_from_checkpoint, save_checkpoint
@@ -20,13 +19,14 @@ from psformer.model import PSFormer
 
 
 def _level_out(rng, n, d):
+    """(coords, features) of a level: n random points, d random channels."""
     coords = rng.uniform(0, 1, (n, 3))
     feats = rng.normal(0, 1, (n, d))
-    return EncoderLevelOutput(coords=coords, features=Tensor(feats))
+    return coords, Tensor(feats)
 
 
 def _ut(upper, skip, params):
-    return ut_block(upper, skip, params, interp_weights(upper.coords, skip.coords))
+    return ut_block(upper[1], skip[1], params, interp_weights(upper[0], skip[0]))
 
 
 # ---------------------------------------------------------------- ut blocks
@@ -38,16 +38,15 @@ def test_ut_block_shapes_and_composition():
     params = init_ut(rng, d_up=6, d_skip=5)
 
     out = _ut(upper, skip, params)
-    assert out.features.shape == (9, 5)
-    assert out.coords is skip.coords
+    assert out.shape == (9, 5)
 
     # equals the manual pipeline: interpolate, concat, fuse, transformer
-    idx, w = interp_weights(upper.coords, skip.coords)
-    up = interp_apply(upper.features, idx, w)
-    cat = concat([up, skip.features], axis=-1)
+    idx, w = interp_weights(upper[0], skip[0])
+    up = interp_apply(upper[1], idx, w)
+    cat = concat([up, skip[1]], axis=-1)
     fused = cat @ params.fuse_w + params.fuse_b
     manual = trans_block(fused, params.trans)
-    assert np.array_equal(out.features.data, manual.data)
+    assert np.array_equal(out.data, manual.data)
 
 
 def test_ut_block_without_transformer_is_linear_fuse():
@@ -58,11 +57,11 @@ def test_ut_block_without_transformer_is_linear_fuse():
     assert params.trans is None
 
     out = _ut(upper, skip, params)
-    idx, w = interp_weights(upper.coords, skip.coords)
-    up = interp_apply(upper.features, idx, w)
-    cat = concat([up, skip.features], axis=-1)
+    idx, w = interp_weights(upper[0], skip[0])
+    up = interp_apply(upper[1], idx, w)
+    cat = concat([up, skip[1]], axis=-1)
     fused = cat @ params.fuse_w + params.fuse_b
-    assert np.array_equal(out.features.data, fused.data)
+    assert np.array_equal(out.data, fused.data)
 
 
 def test_ut_block_rejects_mismatched_fuse_width():
@@ -130,7 +129,9 @@ def test_mca_matches_loop_reference():
             f = rng.normal(0, 1, (n, d))
             feats.append(f)
             widths.append(d)
-            levels.append(EncoderLevelOutput(rng.uniform(0, 1, (n, 3)), Tensor(f)))
+            # coordinates, which mca never reads: drawn to keep the seeded instances
+            rng.uniform(0, 1, (n, 3))
+            levels.append(Tensor(f))
         params = init_mca(rng, widths, compress)
         got = mca(levels, params).data
         want = _mca_reference(feats, [w.data for w in params.w],
@@ -144,20 +145,19 @@ def test_mca_invariant_to_point_order_within_each_level():
     rng = np.random.default_rng(7)
     for _ in range(50):
         widths = [4, 6, 3]
-        levels = [_level_out(rng, int(rng.integers(2, 8)), d) for d in widths]
+        levels = [_level_out(rng, int(rng.integers(2, 8)), d)[1] for d in widths]
         params = init_mca(rng, widths, 3)
         base = mca(levels, params).data
         shuffled = []
         for lv in levels:
-            perm = rng.permutation(lv.features.shape[0])
-            shuffled.append(EncoderLevelOutput(lv.coords[perm],
-                                               Tensor(lv.features.data[perm])))
+            perm = rng.permutation(lv.shape[0])
+            shuffled.append(Tensor(lv.data[perm]))
         assert np.array_equal(mca(shuffled, params).data, base)
 
 
 def test_mca_level_count_mismatch():
     rng = np.random.default_rng(8)
-    levels = [_level_out(rng, 4, 5)]
+    levels = [_level_out(rng, 4, 5)[1]]
     params = init_mca(rng, [5, 5], 3)
     with pytest.raises(ContractError):
         mca(levels, params)
@@ -169,30 +169,15 @@ def test_predict_head_is_sigmoid_of_logits():
     rng = np.random.default_rng(9)
     f = rng.normal(0, 1, (11, 6))
     params = init_head(rng, 6, 8)
-    pred = predict_head(Tensor(f), None, params, threshold=0.3)
+    pred = predict_head(Tensor(f), None, params)
     assert pred.logits.shape == (11,)
     assert np.array_equal(pred.probabilities, 1.0 / (1.0 + np.exp(-pred.logits.data)))
-    assert np.array_equal(pred.mask, pred.probabilities > 0.3)
-    assert pred.threshold == 0.3
-
-
-def test_predict_head_threshold_is_strict():
-    # zero weights put every logit at exactly 0, so p == 0.5 == threshold;
-    # a strict > keeps those points out of the mask
-    rng = np.random.default_rng(10)
-    params = init_head(rng, 4, 8)
-    params.w2.data[:] = 0.0
-    params.b2.data[:] = 0.0
-    pred = predict_head(Tensor(rng.normal(0, 1, (7, 4))), None, params,
-                        threshold=0.5)
-    assert np.all(pred.probabilities == 0.5)
-    assert not pred.mask.any()
 
 
 def test_predict_head_broadcasts_context_rows():
     rng = np.random.default_rng(11)
     f = rng.normal(0, 1, (6, 4))
-    levels = [_level_out(rng, 5, 3)]
+    levels = [_level_out(rng, 5, 3)[1]]
     ctx = mca(levels, init_mca(rng, [3], 2))
     params = init_head(rng, 4 + ctx.shape[0], 8)
     pred = predict_head(Tensor(f), ctx, params)
@@ -233,17 +218,19 @@ def _decode_setup(rng, n=20, use_trans=True):
     return cloud, levels, params
 
 
-def _interp_chain(levels, cloud):
-    """Each UT step's interpolation, coarsest first, as PSFormer.build_geometry
-    makes them."""
-    dsts = [lv.coords for lv in levels[-2::-1]] + [cloud.coords]
-    return [interp_weights(lv.coords, d) for lv, d in zip(levels[::-1], dsts)]
+def _decode(levels, cloud, params):
+    """decode on (coords, features) levels, with each UT step's
+    interpolation, coarsest first, made as PSFormer.build_geometry makes it."""
+    coords = [c for c, _ in levels]
+    dsts = coords[-2::-1] + [cloud.coords]
+    chain = [interp_weights(c, d) for c, d in zip(coords[::-1], dsts)]
+    return decode([f for _, f in levels], cloud, params, chain)
 
 
 def test_decode_end_to_end_shape():
     rng = np.random.default_rng(13)
     cloud, levels, params = _decode_setup(rng)
-    out = decode(levels, cloud, params, _interp_chain(levels, cloud))
+    out = _decode(levels, cloud, params)
     assert out.shape == (20, 5)
     assert np.isfinite(out.data).all()
 
@@ -251,7 +238,7 @@ def test_decode_end_to_end_shape():
 def test_decode_without_transformers():
     rng = np.random.default_rng(14)
     cloud, levels, params = _decode_setup(rng, use_trans=False)
-    out = decode(levels, cloud, params, _interp_chain(levels, cloud))
+    out = _decode(levels, cloud, params)
     assert out.shape == (20, 5)
 
 
@@ -259,7 +246,7 @@ def test_decode_level_count_mismatch():
     rng = np.random.default_rng(15)
     cloud, levels, params = _decode_setup(rng)
     with pytest.raises(ContractError):
-        decode(levels[:2], cloud, params, _interp_chain(levels[:2], cloud))
+        _decode(levels[:2], cloud, params)
 
 
 # --------------------------------------------------------------- gradients
@@ -272,7 +259,7 @@ def test_ut_block_grad_check():
 
     def objective():
         out = _ut(upper, skip, params)
-        return (out.features * out.features).mean()
+        return (out * out).mean()
 
     report = grad_check(objective, params.named("ut"))
     assert report.passed, report.per_param
@@ -281,7 +268,7 @@ def test_ut_block_grad_check():
 def test_mca_and_head_grad_check():
     rng = np.random.default_rng(18)
     widths = [4, 5]
-    levels = [_level_out(rng, 6, widths[0]), _level_out(rng, 3, widths[1])]
+    levels = [_level_out(rng, 6, widths[0])[1], _level_out(rng, 3, widths[1])[1]]
     mparams = init_mca(rng, widths, 3)
     point_feats = Tensor(rng.normal(0, 1, (9, 4)))
     hparams = init_head(rng, 4 + 6, 5)

@@ -5,20 +5,11 @@ import pytest
 
 from psformer.autodiff import ContractError, Tensor, grad_check
 from psformer.featurenorm import FNParams, fn_apply, group_std, init_fn
-from psformer.pointcloud import GroupedSet
 
 
-def _make_groups(nb, ctr, counts=None):
-    nb = np.asarray(nb, dtype=np.float64)
-    ctr = np.asarray(ctr, dtype=np.float64)
-    m, k, _ = nb.shape
-    return GroupedSet(
-        centroid_indices=np.arange(m),
-        centroid_features=Tensor(ctr),
-        neighbor_features=Tensor(nb),
-        neighbor_rel_coords=np.zeros((m, k, 3)),
-        valid_counts=np.full(m, k) if counts is None else counts,
-    )
+def _make_groups(nb, ctr):
+    """(members, centroids) Tensors of (M, K, d) and (M, d) arrays."""
+    return Tensor(np.asarray(nb, dtype=np.float64)), Tensor(np.asarray(ctr, dtype=np.float64))
 
 
 def _sigma_reference(nb, ctr):
@@ -36,12 +27,12 @@ def test_group_std_hand_closed_form():
     # all deviations are exactly +-1 -> sigma is exactly 1
     ctr = np.array([[0.0, 0.0]])
     nb = np.array([[[1.0, -1.0], [-1.0, 1.0]]])
-    assert group_std(_make_groups(nb, ctr)).item() == 1.0
+    assert group_std(*_make_groups(nb, ctr)).item() == 1.0
 
     # deviations 0 and 2 -> sigma = sqrt((0+4)/2) = sqrt(2)
     nb2 = np.array([[[0.0], [2.0]]])
     ctr2 = np.array([[0.0]])
-    assert abs(group_std(_make_groups(nb2, ctr2)).item() - np.sqrt(2.0)) <= 1e-15
+    assert abs(group_std(*_make_groups(nb2, ctr2)).item() - np.sqrt(2.0)) <= 1e-15
 
 
 def test_group_std_matches_triple_loop():
@@ -50,7 +41,7 @@ def test_group_std_matches_triple_loop():
         m, k, d = (int(rng.integers(1, 5)) for _ in range(3))
         nb = rng.standard_normal((m, k, d)) * rng.uniform(0.1, 10)
         ctr = rng.standard_normal((m, d))
-        got = group_std(_make_groups(nb, ctr)).item()
+        got = group_std(*_make_groups(nb, ctr)).item()
         assert abs(got - _sigma_reference(nb, ctr)) <= 1e-12
 
 
@@ -64,7 +55,7 @@ def test_fn_apply_matches_triple_loop():
         beta = rng.standard_normal(d)
         eps = 1e-5
         params = FNParams(Tensor(alpha), Tensor(beta), epsilon=eps)
-        got = fn_apply(_make_groups(nb, ctr), params).neighbor_features.data
+        got = fn_apply(*_make_groups(nb, ctr), params).data
         sigma = _sigma_reference(nb, ctr)
         want = np.zeros_like(nb)
         for i in range(m):
@@ -85,8 +76,8 @@ def test_fn_shift_invariance():
         ctr = rng.standard_normal((m, d))
         shift = rng.standard_normal(d) * 100
         params = init_fn(d)
-        a = fn_apply(_make_groups(nb, ctr), params).neighbor_features.data
-        b = fn_apply(_make_groups(nb + shift, ctr + shift), params).neighbor_features.data
+        a = fn_apply(*_make_groups(nb, ctr), params).data
+        b = fn_apply(*_make_groups(nb + shift, ctr + shift), params).data
         assert np.max(np.abs(a - b)) <= 1e-10
 
 
@@ -94,9 +85,9 @@ def test_sigma_scale_equivariance():
     rng = np.random.default_rng(3)
     nb = rng.standard_normal((2, 3, 4))
     ctr = rng.standard_normal((2, 4))
-    base = group_std(_make_groups(nb, ctr)).item()
+    base = group_std(*_make_groups(nb, ctr)).item()
     for c in (0.5, 3.0, 250.0):
-        scaled = group_std(_make_groups(c * nb, c * ctr)).item()
+        scaled = group_std(*_make_groups(c * nb, c * ctr)).item()
         assert abs(scaled - c * base) <= 1e-9 * max(1.0, c * base)
 
 
@@ -107,10 +98,9 @@ def test_output_deviation_is_normalized():
     ctr = nb[:, 0, :]     # centroid = first member, its own diff is zero
     groups = _make_groups(nb, ctr)
     eps = 1e-5
-    sigma = group_std(groups).item()
-    out = fn_apply(groups, init_fn(3, epsilon=eps))
-    out_sigma = group_std(
-        _make_groups(out.neighbor_features.data, np.zeros((4, 3)))).item()
+    sigma = group_std(*groups).item()
+    out = fn_apply(*groups, init_fn(3, epsilon=eps))
+    out_sigma = group_std(*_make_groups(out.data, np.zeros((4, 3)))).item()
     assert abs(out_sigma - sigma / (sigma + eps)) <= 1e-10
 
 
@@ -121,17 +111,19 @@ def test_centroid_own_entry_maps_to_beta():
     ctr = nb[:, 0, :].copy()
     beta = np.array([0.25, -1.5])
     params = FNParams(Tensor(np.ones(2)), Tensor(beta))
-    out = fn_apply(_make_groups(nb, ctr), params).neighbor_features.data
+    out = fn_apply(*_make_groups(nb, ctr), params).data
     assert np.allclose(out[:, 0, :], np.tile(beta, (3, 1)), atol=1e-15, rtol=0)
 
 
 def test_fn_apply_keeps_geometry_and_centroids():
+    # one output row per member; neither input is written to
     rng = np.random.default_rng(6)
-    groups = _make_groups(rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 4)))
-    out = fn_apply(groups, init_fn(4))
-    assert out.centroid_features is groups.centroid_features
-    assert out.neighbor_rel_coords is groups.neighbor_rel_coords
-    assert np.array_equal(out.valid_counts, groups.valid_counts)
+    nb, ctr = rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 4))
+    members, centroids = _make_groups(nb, ctr)
+    out = fn_apply(members, centroids, init_fn(4))
+    assert out.shape == (2, 3, 4)
+    assert np.array_equal(members.data, nb)
+    assert np.array_equal(centroids.data, ctr)
 
 
 def test_epsilon_must_be_positive():
@@ -143,7 +135,7 @@ def test_epsilon_must_be_positive():
 
 def test_group_std_rejects_empty():
     with pytest.raises(ContractError):
-        group_std(_make_groups(np.zeros((0, 2, 2)), np.zeros((0, 2))))
+        group_std(*_make_groups(np.zeros((0, 2, 2)), np.zeros((0, 2))))
 
 
 def test_fn_grad_check():
@@ -155,9 +147,7 @@ def test_fn_grad_check():
     params.beta.data[:] = rng.standard_normal(4) * 0.3
 
     def objective():
-        groups = GroupedSet(np.arange(2), ctr, nb, np.zeros((2, 3, 3)),
-                            np.full(2, 3))
-        out = fn_apply(groups, params).neighbor_features
+        out = fn_apply(nb, ctr, params)
         return (out * out).mean()
 
     tracked = {"alpha": params.alpha, "beta": params.beta, "nb": nb, "ctr": ctr}

@@ -30,10 +30,7 @@ def test_forward_shapes_and_ranges():
     n = scene.n
     assert pred.logits.data.shape == (n,)
     assert pred.probabilities.shape == (n,)
-    assert pred.mask.shape == (n,)
-    assert pred.mask.dtype == bool
     assert np.all((pred.probabilities > 0) & (pred.probabilities < 1))
-    assert np.array_equal(pred.mask, pred.probabilities > pred.threshold)
 
 
 def test_forward_deterministic_and_geometry_reuse():
@@ -47,17 +44,6 @@ def test_forward_deterministic_and_geometry_reuse():
     geom = model.build_geometry(scene)
     c = model.forward(scene, geometry=geom)
     assert np.array_equal(a.logits.data, c.logits.data)
-
-
-def test_forward_threshold_override():
-    model = PSFormer(_tiny(), seed=0)
-    scene = _scene()
-    lo = model.forward(scene, threshold=1e-6)
-    hi = model.forward(scene, threshold=1.0 - 1e-6)
-    assert lo.threshold == 1e-6
-    assert lo.mask.all()
-    assert not hi.mask.any()
-    assert np.array_equal(lo.probabilities, hi.probabilities)
 
 
 def test_forward_rejects_small_cloud():
@@ -84,7 +70,6 @@ def test_point_order_equivariance():
         shuffled = model.forward(scene.permuted(perm))
         assert np.allclose(shuffled.probabilities, base.probabilities[perm],
                            rtol=0, atol=1e-12)
-        assert np.array_equal(shuffled.mask, base.mask[perm])
 
 
 # ------------------------------------------------------------- parameters

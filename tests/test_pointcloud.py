@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from psformer.autodiff import ContractError, Tensor, backward
-from psformer.pointcloud import (PointCloud, append_rel_coords, ball_group,
-                                 farthest_point_sample, gather_groups,
-                                 group_indices, interp_weights,
-                                 interpolate_up, normalize_cloud)
+from psformer.autodiff import ContractError, Tensor, backward, gather_rows, interp_apply
+from psformer.pointcloud import (farthest_point_sample, group_indices,
+                                 interp_weights, normalize_cloud)
+
+
+def _interpolate(src, feats, dst):
+    idx, w = interp_weights(src, dst)
+    return interp_apply(Tensor(feats), idx, w).data
 
 
 def test_normalize_unit_cube_bounds():
@@ -47,6 +50,13 @@ def test_normalize_contract_errors():
     bad[1, 1] = np.nan
     with pytest.raises(ContractError):
         normalize_cloud(bad)
+    coords = np.zeros((4, 3))
+    for colors in (np.zeros((4, 2)), np.zeros((3, 3)), np.zeros(12)):
+        with pytest.raises(ContractError, match="colors"):
+            normalize_cloud(coords, colors)
+    for labels in (np.zeros(3), np.zeros(5), np.zeros((4, 1))):
+        with pytest.raises(ContractError, match="labels"):
+            normalize_cloud(coords, labels=labels)
 
 
 def test_default_colors_and_labels():
@@ -85,9 +95,6 @@ def test_permuted_cloud_reorders_everything():
 def test_farthest_point_sample_contracts():
     coords = np.random.default_rng(4).uniform(0, 1, (9, 3))
     assert len(farthest_point_sample(coords, 4)) == 4
-    cloud = normalize_cloud(coords)
-    assert np.array_equal(farthest_point_sample(cloud, 4),
-                          farthest_point_sample(coords, 4))
     with pytest.raises(ContractError):
         farthest_point_sample(coords, 0)
     with pytest.raises(ContractError):
@@ -99,23 +106,24 @@ def test_ball_group_structure():
     coords = rng.uniform(0, 1, (30, 3))
     feats = rng.standard_normal((30, 5))
     centroid_idx = farthest_point_sample(coords, 6)
-    groups = ball_group(coords, feats, centroid_idx, radius=0.5, k=4)
-    assert groups.n_groups == 6 and groups.k == 4 and groups.d == 5
-    assert np.array_equal(groups.centroid_features.data, feats[centroid_idx])
-    assert np.all(groups.valid_counts >= 1)
-    assert np.all(groups.valid_counts <= 4)
-    # offsets are neighbor minus centroid, inside the ball
-    norms = np.sqrt((groups.neighbor_rel_coords ** 2).sum(-1))
+    idx, counts = group_indices(coords, centroid_idx, radius=0.5, k=4)
+    assert idx.shape == (6, 4) and counts.shape == (6,)
+    assert np.all(counts >= 1)
+    assert np.all(counts <= 4)
+    # valid members lie inside the ball; padding repeats a valid member
+    rel = coords[idx] - coords[centroid_idx][:, None, :]
+    norms = np.sqrt((rel ** 2).sum(-1))
     for i in range(6):
-        assert np.all(norms[i, :groups.valid_counts[i]] <= 0.5 + 1e-12)
+        assert np.all(norms[i, :counts[i]] <= 0.5 + 1e-12)
+        assert set(idx[i, counts[i]:]) <= set(idx[i, :counts[i]])
 
 
 def test_ball_group_contract_errors():
     coords = np.zeros((4, 3))
     with pytest.raises(ContractError):
-        ball_group(coords, np.zeros((4, 2)), np.array([0]), radius=0.0, k=3)
+        group_indices(coords, np.array([0]), radius=0.0, k=3)
     with pytest.raises(ContractError):
-        ball_group(coords, np.zeros((4, 2)), np.array([0]), radius=0.5, k=0)
+        group_indices(coords, np.array([0]), radius=0.5, k=0)
 
 
 def test_gather_groups_routes_gradients():
@@ -123,9 +131,8 @@ def test_gather_groups_routes_gradients():
     coords = rng.uniform(0, 1, (12, 3))
     feats = Tensor(rng.standard_normal((12, 4)), requires_grad=True)
     centroid_idx = farthest_point_sample(coords, 3)
-    idx, counts = group_indices(coords, centroid_idx, 0.8, 5)
-    groups = gather_groups(coords, feats, centroid_idx, idx, counts)
-    backward(groups.neighbor_features.sum())
+    idx, _ = group_indices(coords, centroid_idx, 0.8, 5)
+    backward(gather_rows(feats, idx).sum())
     # every point gathered q times accumulates gradient q
     expected = np.zeros(12)
     for row in idx.reshape(-1):
@@ -133,25 +140,12 @@ def test_gather_groups_routes_gradients():
     assert np.array_equal(feats.grad[:, 0], expected)
 
 
-def test_append_rel_coords_widths_and_zero_offset():
-    rng = np.random.default_rng(7)
-    coords = rng.uniform(0, 1, (15, 3))
-    feats = rng.standard_normal((15, 4))
-    centroid_idx = farthest_point_sample(coords, 4)
-    groups = append_rel_coords(ball_group(coords, feats, centroid_idx, 0.6, 5))
-    assert groups.neighbor_features.shape == (4, 5, 7)
-    assert groups.centroid_features.shape == (4, 7)
-    assert np.all(groups.centroid_features.data[:, 4:] == 0.0)
-    assert np.array_equal(groups.neighbor_features.data[..., 4:],
-                          groups.neighbor_rel_coords)
-
-
 def test_interpolate_constant_field_exact():
     rng = np.random.default_rng(8)
     src = rng.uniform(0, 1, (9, 3))
     dst = rng.uniform(0, 1, (20, 3))
     feats = np.tile([2.5, -1.0], (9, 1))
-    out = interpolate_up(src, feats, dst).data
+    out = _interpolate(src, feats, dst)
     assert np.allclose(out, np.tile([2.5, -1.0], (20, 1)), atol=1e-12, rtol=0)
 
 
@@ -159,7 +153,7 @@ def test_interpolate_coincident_destination_copies_source():
     rng = np.random.default_rng(9)
     src = rng.uniform(0, 1, (7, 3))
     feats = rng.standard_normal((7, 3))
-    out = interpolate_up(src, feats, src).data
+    out = _interpolate(src, feats, src)
     assert np.array_equal(out, feats)
 
 
@@ -174,4 +168,4 @@ def test_interpolate_weight_locality():
 
 def test_interpolate_requires_sources():
     with pytest.raises(ContractError):
-        interpolate_up(np.zeros((0, 3)), np.zeros((0, 2)), np.zeros((3, 3)))
+        interp_weights(np.zeros((0, 3)), np.zeros((3, 3)))

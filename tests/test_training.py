@@ -88,6 +88,18 @@ def test_adam_state_round_trip():
         Adam({"q": Tensor(np.zeros(2), requires_grad=True)}).load_state(state)
 
 
+@pytest.mark.parametrize("moment", ["m", "v"])
+@pytest.mark.parametrize("bad_shape", [(), (1, 4)])
+def test_adam_load_state_rejects_misshapen_moments(moment, bad_shape):
+    # a broadcastable moment would load and then silently broadcast in step()
+    p = Tensor(np.zeros(4), requires_grad=True)
+    state = Adam({"p": p}).state_dict()
+    state[moment]["p"] = np.zeros(bad_shape)
+    opt = Adam({"p": p})
+    with pytest.raises(ContractError, match=f"for p: {moment}"):
+        opt.load_state(state)
+
+
 # ---------------------------------------------------------------- scenes
 
 def _data(n=256, regime="default", seed=0):
