@@ -1,121 +1,56 @@
-"""Versioned binary checkpoints.
+"""Checkpoints: one uncompressed numpy ``.npz`` archive with the members
+``format`` (uint8 marker b"psformer-checkpoint-2"), ``config`` (uint8 utf-8
+text of `serialize_config`), ``step`` (int64 optimizer step, 0 without one),
+``param/<name>`` (float64, one per parameter) and, when an optimizer is saved,
+``adam.m/<name>`` and ``adam.v/<name>`` (float64 Adam moments).
 
-Layout (all integers little-endian):
-
-    magic    8 bytes  b"PSFCKPT1"
-    version  u32
-    config   u64 byte length + utf-8 config text
-    step     u64      optimizer step count
-    nparams  u32
-    per parameter:
-        name   u32 length + utf-8
-        ndim   u32, then ndim x u64 dims
-        data   float64 raw values
-    has_optim u8
-    if set, per parameter in the same order: m then v, raw float64
-
-Weights are stored as raw float64, so a save/load round-trip reproduces the
-model bit-exactly.
+zip keeps a CRC-32 of every member, checked on read, so a flipped bit or a
+truncated file raises `CheckpointError`, as does a header whose dtype, order or
+byte count differs from the writer's. Raw float64 weights round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
+import collections
+import io
+import math
 import os
-import struct
 import tempfile
+import zipfile
 
 import numpy as np
 
-MAGIC = b"PSFCKPT1"
-VERSION = 1
+from .config import ConfigError, parse_config
+from .model import PSFormer
+
+_FORMAT = b"psformer-checkpoint-2"
+_DTYPES = {"format": "|u1", "config": "|u1", "step": "<i8"}   # others "<f8"
+# zipfile's and numpy's errors on bad bytes; stored members need no decompressor
+_DECODE_ERRORS = (zipfile.BadZipFile, EOFError, OSError, KeyError, RuntimeError,
+                  ValueError)
 
 
 class CheckpointError(ValueError):
     pass
 
 
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
-
-
-def _pack_array(a: np.ndarray) -> bytes:
-    a = np.ascontiguousarray(a, dtype="<f8")
-    head = struct.pack("<I", a.ndim) + struct.pack(f"<{a.ndim}Q", *a.shape)
-    return head + a.tobytes()
-
-
-class _Reader:
-    def __init__(self, blob: bytes, path: str):
-        self.blob = blob
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise CheckpointError(
-                f"{self.path}: truncated at byte {self.pos}, need {n} more")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def string(self) -> str:
-        n = self.u32()
-        try:
-            return self.take(n).decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise CheckpointError(f"{self.path}: bad utf-8 string") from e
-
-    def array(self) -> np.ndarray:
-        ndim = self.u32()
-        if ndim > 8:
-            raise CheckpointError(f"{self.path}: implausible ndim {ndim}")
-        shape = struct.unpack(f"<{ndim}Q", self.take(8 * ndim)) if ndim else ()
-        count = 1
-        for s in shape:
-            count *= s
-        raw = self.take(8 * count)
-        return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-
-
 def save_checkpoint(path: str, model, optimizer=None) -> None:
     from .config import serialize_config
 
-    params = model.parameters()
-    chunks = [MAGIC, struct.pack("<I", VERSION),
-              struct.pack("<Q", 0)]  # placeholder, replaced below
-    config_raw = serialize_config(model.config).encode("utf-8")
-    chunks[2] = struct.pack("<Q", len(config_raw))
-    chunks.append(config_raw)
-    step = 0 if optimizer is None else optimizer.t
-    chunks.append(struct.pack("<Q", step))
-    chunks.append(struct.pack("<I", len(params)))
-    for name, tensor in params.items():
-        chunks.append(_pack_str(name))
-        chunks.append(_pack_array(tensor.data))
-    if optimizer is None:
-        chunks.append(b"\x00")
-    else:
-        chunks.append(b"\x01")
-        state = optimizer.state_dict()
-        for name in params:
-            chunks.append(_pack_array(state["m"][name]))
-            chunks.append(_pack_array(state["v"][name]))
+    state = {"t": 0} if optimizer is None else optimizer.state_dict()
+    arrays = {f"param/{n}": p.data for n, p in model.parameters().items()}
+    for moment in ("m", "v") if optimizer is not None else ():
+        arrays.update((f"adam.{moment}/{n}", a) for n, a in state[moment].items())
+    members = {"format": np.frombuffer(_FORMAT, np.uint8),
+               "config": np.frombuffer(serialize_config(model.config).encode(), np.uint8),
+               "step": np.int64(state["t"]),
+               **{n: np.ascontiguousarray(a, "<f8") for n, a in arrays.items()}}
 
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(b"".join(chunks))
+            np.savez(fh, **members)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -123,46 +58,62 @@ def save_checkpoint(path: str, model, optimizer=None) -> None:
         raise
 
 
+def _array(zf: zipfile.ZipFile, name: str, path: str) -> np.ndarray:
+    """Member `name` as a read-only view of its CRC-checked bytes."""
+    want = np.dtype(_DTYPES.get(name, "<f8"))
+    try:
+        raw = zf.read(name + ".npy")
+        fh = io.BytesIO(raw)
+        if np.lib.format.read_magic(fh) != (1, 0):
+            raise ValueError("not a version 1.0 .npy header")
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+        size = len(raw) - fh.tell()
+        if fortran or dtype != want or math.prod(shape) * want.itemsize != size:
+            raise ValueError(f"implausible header: {dtype.str} {shape} "
+                             f"fortran_order={fortran} for {size} data bytes")
+        return np.frombuffer(raw, want, offset=fh.tell()).reshape(shape)
+    except _DECODE_ERRORS as e:
+        raise CheckpointError(f"{path}: member {name!r}: {e!r}") from e
+
+
 def load_checkpoint(path: str):
     """Returns (config, arrays, optim_state_or_None, step)."""
-    from .config import parse_config
-
     with open(path, "rb") as fh:
-        blob = fh.read()
-    r = _Reader(blob, path)
-    if r.take(len(MAGIC)) != MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a checkpoint")
-    version = r.u32()
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    config_len = r.u64()
+        if fh.read(8) == b"PSFCKPT1":
+            raise CheckpointError(f"{path}: the v1 checkpoint format is no "
+                                  "longer read; commit ecebfcd is the last that reads it")
     try:
-        config_text = r.take(config_len).decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise CheckpointError(f"{path}: bad config text") from e
-    config = parse_config(config_text)
-    step = r.u64()
-    nparams = r.u32()
-    arrays = {}
-    for _ in range(nparams):
-        name = r.string()
-        if name in arrays:
-            raise CheckpointError(f"{path}: duplicate parameter {name!r}")
-        arrays[name] = r.array()
-    optim_state = None
-    if r.u8():
-        m, v = {}, {}
-        for name in arrays:
-            m[name] = r.array()
-            v[name] = r.array()
-        optim_state = {"t": step, "m": m, "v": v}
-    return config, arrays, optim_state, step
+        zf = zipfile.ZipFile(path)
+    except _DECODE_ERRORS as e:
+        raise CheckpointError(f"{path}: not a checkpoint archive: {e!r}") from e
+    with zf:
+        # zipfile allocates a member's stated size up front; bound it by the file.
+        size = os.path.getsize(path)
+        big = [i.filename for i in zf.infolist()
+               if i.compress_type != zipfile.ZIP_STORED or i.compress_size > size]
+        if big:
+            raise CheckpointError(f"{path}: members {big} compressed or larger than the file")
+        names = [n.removesuffix(".npy") for n in zf.namelist()]
+        params = [n[len("param/"):] for n in names if n.startswith("param/")]
+        groups = ["param"] + ["adam.m", "adam.v"] * any(n.startswith("adam.") for n in names)
+        known = {"format", "config", "step", *(f"{g}/{p}" for g in groups for p in params)}
+        extra = sorted(collections.Counter(names) - collections.Counter(known))
+        if extra:
+            raise CheckpointError(f"{path}: unexpected or repeated members {extra}")
+        if _array(zf, "format", path).tobytes() != _FORMAT:
+            raise CheckpointError(f"{path}: member 'format' is not {_FORMAT!r}")
+        try:
+            config = parse_config(_array(zf, "config", path).tobytes().decode())
+        except (UnicodeDecodeError, ConfigError) as e:
+            raise CheckpointError(f"{path}: member 'config': bad config text: {e}") from e
+        step = int(_array(zf, "step", path))
+        read = {g: {p: _array(zf, f"{g}/{p}", path) for p in params} for g in groups}
+    optim = {"t": step, "m": read["adam.m"], "v": read["adam.v"]} if "adam.m" in read else None
+    return config, read["param"], optim, step
 
 
 def model_from_checkpoint(path: str):
     """Rebuild the model stored at path; returns (model, optim_state, step)."""
-    from .model import PSFormer
-
     config, arrays, optim_state, step = load_checkpoint(path)
     model = PSFormer(config)
     model.load_parameters(arrays)

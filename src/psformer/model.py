@@ -12,8 +12,6 @@ from .autodiff import ContractError, Tensor
 from .config import ModelConfig
 from .decoder import (
     DecoderParams,
-    HeadParams,
-    MCAParams,
     SaliencyPrediction,
     decode,
     init_head,

@@ -277,12 +277,9 @@ def write_ply(cloud: PointCloud, path: str, probabilities=None,
             if binary:
                 fh.write(rows.tobytes())
             else:
-                for row in rows:
-                    parts = []
-                    for name, code in fields:
-                        v = row[name]
-                        parts.append(f"{float(v):.17g}" if code == "<f8" else str(int(v)))
-                    fh.write((" ".join(parts) + "\n").encode("ascii"))
+                np.savetxt(fh, np.column_stack([rows[name].astype(np.float64)
+                                                for name, _ in fields]),
+                           fmt=["%.17g" if code == "<f8" else "%d" for _, code in fields])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

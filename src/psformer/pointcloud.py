@@ -50,7 +50,7 @@ def normalize_cloud(coords: np.ndarray, colors: np.ndarray | None = None,
     """Build a PointCloud, filling norm_coords = (coords - min) / max_extent.
 
     A degenerate cloud (zero extent) gets norm_coords of 0.5 and is flagged.
-    Missing colors default to mid-gray 0.5.
+    Colors must be finite and in [0, 1]; missing colors default to mid-gray 0.5.
     """
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] != 3 or coords.shape[0] < 1:
@@ -65,6 +65,12 @@ def normalize_cloud(coords: np.ndarray, colors: np.ndarray | None = None,
         if colors.shape != (n, 3):
             raise ContractError(
                 f"normalize_cloud: need ({n}, 3) colors, got {colors.shape}")
+        if not np.isfinite(colors).all():
+            raise ContractError("normalize_cloud: colors contain non-finite values")
+        if colors.min() < 0.0 or colors.max() > 1.0:
+            raise ContractError(
+                f"normalize_cloud: colors must lie in [0, 1], got "
+                f"[{colors.min()}, {colors.max()}]")
     if labels is not None:
         labels = np.asarray(labels, dtype=bool)
         if labels.shape != (n,):

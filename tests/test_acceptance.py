@@ -5,7 +5,6 @@ round-trips. Each test prints one PASS/FAIL line straight to the terminal
 (bypassing capture) so a plain pytest run shows the verdicts."""
 
 import math
-import os
 import time
 
 import numpy as np

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from psformer import attention
-from psformer.attention import (TransParams, attend, ffn, glorot, init_trans,
-                                project_qkv, trans_block)
+from psformer.attention import (attend, ffn, glorot, init_trans, project_qkv,
+                                trans_block)
 from psformer.autodiff import ShapeError, Tensor, backward, grad_check, softmax
 
 mp.mp.dps = 50

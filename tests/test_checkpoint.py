@@ -1,16 +1,18 @@
-"""Binary checkpoint round-trips: weights and optimizer state must come back
+"""Checkpoint round-trips: weights and optimizer state must come back
 bit-exact, resume must equal an uninterrupted run, and corrupt files must
 fail loudly instead of producing a silently wrong model."""
 
+import io
 import os
 import struct
+import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
 
-from psformer.checkpoint import (MAGIC, VERSION, CheckpointError,
-                                 load_checkpoint, model_from_checkpoint,
-                                 save_checkpoint)
+from psformer.checkpoint import (CheckpointError, load_checkpoint,
+                                 model_from_checkpoint, save_checkpoint)
 from psformer.config import ModelConfig, serialize_config
 from psformer.model import PSFormer
 from psformer.training import Adam, make_scenes, train_model
@@ -117,11 +119,57 @@ def test_save_overwrites_atomically(tmp_path):
 
 # ----------------------------------------------------------- corrupt files
 
+def _valid_path(tmp_path, optimizer=False) -> str:
+    path = str(tmp_path / ("good_adam.ckpt" if optimizer else "good.ckpt"))
+    model = _tiny_model()
+    opt = None
+    if optimizer:
+        opt = Adam(model.parameters(), lr=model.config.optim.lr)
+        train_model(model, make_scenes(model.config.data, 1, seed0=4),
+                    optimizer=opt, epochs=1)
+    save_checkpoint(path, model, optimizer=opt)
+    return path
+
+
 def _valid_blob(tmp_path) -> bytes:
-    path = str(tmp_path / "good.ckpt")
-    save_checkpoint(path, _tiny_model())
-    with open(path, "rb") as fh:
+    with open(_valid_path(tmp_path), "rb") as fh:
         return fh.read()
+
+
+def _members(tmp_path) -> list:
+    """(name, raw .npy bytes) of every member of a valid checkpoint."""
+    with zipfile.ZipFile(_valid_path(tmp_path)) as zf:
+        return [(n, zf.read(n)) for n in zf.namelist()]
+
+
+def _replace(members, name: str, raw: bytes) -> list:
+    assert name in dict(members)
+    return [(n, raw if n == name else r) for n, r in members]
+
+
+def _zip(members, compression=zipfile.ZIP_STORED) -> bytes:
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", compression=compression) as zf:
+        for name, raw in members:
+            zf.writestr(name, raw)
+    return buf.getvalue()
+
+
+def _npy(arr) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
+def _npy_header(descr: str, shape, fortran_order=False, data=b"") -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": descr, "fortran_order": fortran_order, "shape": shape})
+    return buf.getvalue() + data
+
+
+def _first_param(members) -> str:
+    return next(n for n, _ in members if n.startswith("param/"))
 
 
 def _expect_error(tmp_path, blob: bytes, match: str):
@@ -133,50 +181,166 @@ def _expect_error(tmp_path, blob: bytes, match: str):
 
 
 def test_bad_magic(tmp_path):
-    blob = _valid_blob(tmp_path)
-    _expect_error(tmp_path, b"NOTACKPT" + blob[8:], "bad magic")
+    members = _members(tmp_path)
+    rebuilt = str(tmp_path / "rebuilt.ckpt")
+    with open(rebuilt, "wb") as fh:
+        fh.write(_zip(members))
+    load_checkpoint(rebuilt)     # the helpers' archive loads until it is broken
+    marker = _npy(np.frombuffer(b"not a psformer file", np.uint8))
+    _expect_error(tmp_path, _zip(_replace(members, "format.npy", marker)),
+                  "member 'format' is not")
 
 
 def test_unsupported_version(tmp_path):
-    blob = _valid_blob(tmp_path)
-    bumped = blob[:8] + struct.pack("<I", VERSION + 1) + blob[12:]
-    _expect_error(tmp_path, bumped, "unsupported version")
+    members = _members(tmp_path)
+    marker = _npy(np.frombuffer(b"psformer-checkpoint-3", np.uint8))
+    _expect_error(tmp_path, _zip(_replace(members, "format.npy", marker)),
+                  "member 'format' is not b'psformer-checkpoint-2'")
+
+
+def test_v1_checkpoint_is_refused(tmp_path):
+    # The layout the earlier hand-rolled format began with: magic, version,
+    # config length and text, step, parameter count.
+    config_raw = serialize_config(ModelConfig.tiny()).encode("utf-8")
+    v1 = (b"PSFCKPT1" + struct.pack("<I", 1)
+          + struct.pack("<Q", len(config_raw)) + config_raw
+          + struct.pack("<Q", 0) + struct.pack("<I", 0) + b"\x00")
+    _expect_error(tmp_path, v1, "v1 checkpoint format is no longer read")
 
 
 def test_truncated_file(tmp_path):
     blob = _valid_blob(tmp_path)
-    _expect_error(tmp_path, blob[:len(blob) // 2], "truncated")
-    _expect_error(tmp_path, blob[:6], "truncated")
-    _expect_error(tmp_path, blob[:-1], "truncated")
+    for cut in (blob[:len(blob) // 2], blob[:6], blob[:-1]):
+        _expect_error(tmp_path, cut, "not a checkpoint archive")
 
 
 def test_bad_config_text(tmp_path):
-    blob = _valid_blob(tmp_path)
-    # config text starts right after magic + version + u64 length
-    _expect_error(tmp_path, blob[:20] + b"\xff" + blob[21:], "bad config text")
-
-
-def _header(step=0, nparams=1) -> bytes:
-    config_raw = serialize_config(ModelConfig.tiny()).encode("utf-8")
-    return (MAGIC + struct.pack("<I", VERSION)
-            + struct.pack("<Q", len(config_raw)) + config_raw
-            + struct.pack("<Q", step) + struct.pack("<I", nparams))
+    members = _members(tmp_path)
+    for text in (b"\xff\xfe", b"model.no_such_key=1\n"):
+        config = _npy(np.frombuffer(text, np.uint8))
+        _expect_error(tmp_path, _zip(_replace(members, "config.npy", config)),
+                      "member 'config': bad config text")
 
 
 def test_implausible_ndim(tmp_path):
-    blob = (_header(nparams=1)
-            + struct.pack("<I", 3) + b"w.x"
-            + struct.pack("<I", 9))           # 9-dimensional array, no thanks
-    _expect_error(tmp_path, blob, "implausible ndim")
+    members = _members(tmp_path)
+    name = _first_param(members)
+    eight = struct.pack("<d", 0.5)
+    for raw in (_npy_header("<f8", (2,) * 9, data=eight),   # 512 values declared
+                _npy_header("<f8", (-1, -1), data=eight),
+                _npy_header("<f8", (1,), fortran_order=True, data=eight),
+                _npy_header("<f4", (2,), data=eight),
+                _npy_header("|O", (1,), data=eight),
+                b"\x93NUMPY\x03\x00" + eight,
+                eight):
+        _expect_error(tmp_path, _zip(_replace(members, name, raw)),
+                      f"member '{name[:-4]}'")
+
+
+def test_huge_header_rejected_before_allocating(tmp_path):
+    members = _members(tmp_path)
+    name = _first_param(members)
+    huge = _npy_header("<f8", (10 ** 12,), data=struct.pack("<d", 0.5))
+    path = str(tmp_path / "huge.ckpt")
+    with open(path, "wb") as fh:
+        fh.write(_zip(_replace(members, name, huge)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="implausible header"):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_member_size_past_end_of_file(tmp_path):
+    # A central-directory entry claiming 2 GiB of stored data: zipfile would
+    # allocate that much before reading, so the loader refuses it first.
+    blob = bytearray(_valid_blob(tmp_path))
+    entry = blob.find(b"PK\x01\x02")
+    blob[entry + 20:entry + 24] = struct.pack("<I", 2 ** 31 - 1)
+    path = str(tmp_path / "big.ckpt")
+    with open(path, "wb") as fh:
+        fh.write(bytes(blob))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="larger than the file"):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_duplicate_parameter_name(tmp_path):
-    arr = struct.pack("<I", 1) + struct.pack("<Q", 1) + struct.pack("<d", 0.5)
-    entry = struct.pack("<I", 3) + b"w.x" + arr
-    blob = _header(nparams=2) + entry + entry + b"\x00"
-    _expect_error(tmp_path, blob, "duplicate parameter")
+    members = _members(tmp_path)
+    name = _first_param(members)
+    with pytest.warns(UserWarning, match="Duplicate name"):
+        blob = _zip(members + [(name, dict(members)[name])])
+    _expect_error(tmp_path, blob, "unexpected or repeated members")
+
+
+def test_missing_or_unexpected_member(tmp_path):
+    members = _members(tmp_path)
+    step = [(n, r) for n, r in members if n != "step.npy"]
+    _expect_error(tmp_path, _zip(step), "member 'step'")
+    stray = members + [("params/extra.npy", _npy(np.zeros(2)))]
+    _expect_error(tmp_path, _zip(stray), "unexpected or repeated members")
+
+
+def test_flipped_bit_in_parameter_data(tmp_path):
+    path = _valid_path(tmp_path)
+    with open(path, "rb") as fh:
+        blob = bytearray(fh.read())
+    _, arrays, _, _ = load_checkpoint(path)
+    name, arr = max(arrays.items(), key=lambda kv: kv[1].size)
+    at = bytes(blob).find(arr.tobytes())
+    assert at > 0
+    blob[at + arr.nbytes // 2] ^= 0x10
+    _expect_error(tmp_path, bytes(blob), f"member 'param/{name}'.*CRC")
 
 
 def test_rejects_non_checkpoint_bytes(tmp_path):
-    _expect_error(tmp_path, b"", "truncated")
-    _expect_error(tmp_path, b"ply\nformat ascii 1.0\n", "bad magic")
+    _expect_error(tmp_path, b"", "not a checkpoint archive")
+    _expect_error(tmp_path, b"ply\nformat ascii 1.0\n", "not a checkpoint archive")
+    compressed = _zip(_members(tmp_path), compression=zipfile.ZIP_DEFLATED)
+    _expect_error(tmp_path, compressed, "compressed or larger than the file")
+
+
+def test_mutation_fuzz_never_loads_different_weights(tmp_path):
+    # The mutations gate 6 applies to PLY files: 1-3 of a deletion of up to
+    # 39 bytes, a random byte, or 8 inserted random bytes.
+    path = _valid_path(tmp_path, optimizer=True)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    config, arrays, optim_state, step = load_checkpoint(path)
+    rng = np.random.default_rng(0)
+    rejected = 0
+    for trial in range(500):
+        mutated = bytearray(blob)
+        for _ in range(int(rng.integers(1, 4))):
+            op = rng.integers(0, 3)
+            pos = int(rng.integers(0, len(mutated)))
+            if op == 0:
+                del mutated[pos:pos + int(rng.integers(1, 40))]
+            elif op == 1:
+                mutated[pos] = int(rng.integers(0, 256))
+            else:
+                mutated[pos:pos] = bytes(rng.integers(0, 256, 8, dtype=np.uint8))
+        bad = str(tmp_path / "fuzz.ckpt")
+        with open(bad, "wb") as fh:
+            fh.write(bytes(mutated))
+        try:
+            got_config, got, got_optim, got_step = load_checkpoint(bad)
+        except CheckpointError:
+            rejected += 1
+            continue
+        assert got_config == config and got_step == step, trial
+        assert set(got) == set(arrays), trial
+        for name in arrays:
+            assert np.array_equal(got[name], arrays[name]), (trial, name)
+            for moment in ("m", "v"):
+                assert np.array_equal(got_optim[moment][name],
+                                      optim_state[moment][name]), (trial, name)
+    assert rejected > 400

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from psformer.checkpoint import save_checkpoint
+from psformer.checkpoint import model_from_checkpoint, save_checkpoint
 from psformer.cli import cmd_gradcheck, main, predict_cloud
 from psformer.config import DataSection, ModelConfig
 from psformer.metrics import parse_report
@@ -135,6 +135,37 @@ def test_train_periodic_checkpoints(tmp_path, capsys):
     assert main(["train", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "checkpoint_epoch0002.bin").exists()
     assert not (out / "checkpoint_epoch0003.bin").exists()
+    capsys.readouterr()
+
+
+def test_train_on_data_dir(tmp_path, capsys):
+    patches = tmp_path / "patches"
+    assert main(["gen-data", "--config", _write_config(tmp_path),
+                 "--out", str(patches), "--count", "2", "--seed", "11"]) == 0
+    # One scene per step, and 5 synthetic scenes if data.dir were ignored, so
+    # the step count shows how many patches the run trained on.
+    cfg = tmp_path / "dir.cfg"
+    cfg.write_text(f"preset=tiny\ndata.dir={patches}\ntrain.epochs=1\n"
+                   "train.eval_every=0\noptim.batch_size=1\ndata.train_scenes=5\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "trained 1 epochs" in capsys.readouterr().out
+    model, optim_state, step = model_from_checkpoint(str(out / "checkpoint.bin"))
+    assert step == 2 and optim_state["t"] == 2
+    assert model.config.data.dir == str(patches)
+
+
+def test_train_on_unlabeled_data_dir_exits_1(tmp_path, capsys):
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    for i in range(2):
+        scene = gen_synthetic_scene(i, DataSection(scene_points=64))
+        write_ply(normalize_cloud(scene.coords, scene.colors),
+                  str(bare / f"scene_{i}.ply"))
+    cfg = tmp_path / "dir.cfg"
+    cfg.write_text(f"preset=tiny\ndata.dir={bare}\ntrain.epochs=1\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    assert not (tmp_path / "run" / "checkpoint.bin").exists()
     capsys.readouterr()
 
 

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from psformer import config
-from psformer.attention import init_trans, trans_block
+from psformer.attention import trans_block
 from psformer.autodiff import ShapeError, Tensor, grad_check
-from psformer.decoder import (HeadParams, MCAParams, UTParams, decode,
-                              init_head, init_mca, init_ut, mca, predict_head,
-                              ut_block)
+from psformer.decoder import (decode, init_head, init_mca, init_ut, mca,
+                              predict_head, ut_block)
 from psformer.pointcloud import interp_weights, normalize_cloud
-from psformer.autodiff import ContractError, interp_apply, concat, relu, column_max
+from psformer.autodiff import ContractError, concat, interp_apply
 from psformer.checkpoint import model_from_checkpoint, save_checkpoint
 from psformer.config import ConfigError, ModelConfig, parse_config
 from psformer.model import PSFormer

@@ -1,6 +1,13 @@
-"""The package's public names: every export in __all__ resolves."""
+"""The package's public names: every export in __all__ resolves, and no
+module imports a name it never reads."""
+
+import ast
+import glob
+import os
 
 import psformer
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_every_exported_name_resolves():
@@ -13,3 +20,33 @@ def test_star_import_binds_every_export():
     namespace = {}
     exec("from psformer import *", namespace)
     assert set(psformer.__all__) <= set(namespace)
+
+
+def _unused_imports(path: str) -> list:
+    """(line, name) of each name `path` imports and never reads; names listed
+    in the module's __all__ count as read."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    imported, read, exported = {}, set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read | exported)
+
+
+def test_no_unused_imports():
+    paths = sorted(glob.glob(os.path.join(ROOT, "src", "psformer", "*.py"))
+                   + glob.glob(os.path.join(ROOT, "tests", "*.py")))
+    assert len(paths) > 20
+    unused = {os.path.relpath(p, ROOT): u for p in paths if (u := _unused_imports(p))}
+    assert not unused

@@ -92,6 +92,29 @@ def test_ascii_saliency_survives_17g(tmp_path):
     assert np.array_equal(np.array(tail), probs)
 
 
+def test_ascii_body_text_is_pinned(tmp_path):
+    # Doubles print as %.17g, so they parse back bit-exactly; uchar columns
+    # print as plain integers; one space-separated row a line.
+    coords = np.array([[0.1, 1e-300, 1.0],
+                       [-0.0, 2.0 / 3.0, -123456.789],
+                       [5e-324, 0.3, 1.0 / 3.0]])
+    colors = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.2, 1.0 / 255.0]])
+    cloud = normalize_cloud(coords, colors, np.array([True, False, True]))
+    plain, heat = str(tmp_path / "plain.ply"), str(tmp_path / "heat.ply")
+    write_ply(cloud, plain)
+    write_ply(cloud, heat, probabilities=np.array([0.1, 1.0, 1e-300]))
+    body = lambda path: open(path).read().split("end_header\n", 1)[1]
+    assert body(plain) == (
+        "0.10000000000000001 1e-300 1 0 0 0 1\n"
+        "-0 0.66666666666666663 -123456.789 255 255 255 0\n"
+        "4.9406564584124654e-324 0.29999999999999999 0.33333333333333331 128 51 1 1\n")
+    assert body(heat) == (
+        "0.10000000000000001 1e-300 1 26 0 230 1 0.10000000000000001\n"
+        "-0 0.66666666666666663 -123456.789 255 0 0 0 1\n"
+        "4.9406564584124654e-324 0.29999999999999999 0.33333333333333331 "
+        "0 0 255 1 1e-300\n")
+
+
 def test_uint8_color_mapping(tmp_path):
     path = str(tmp_path / "m.ply")
     with open(path, "w") as fh:

@@ -59,6 +59,26 @@ def test_normalize_contract_errors():
             normalize_cloud(coords, labels=labels)
 
 
+def test_normalize_rejects_non_finite_colors():
+    coords = np.random.default_rng(2).uniform(0, 1, (4, 3))
+    for value in (np.nan, np.inf, -np.inf):
+        colors = np.full((4, 3), 0.5)
+        colors[2, 1] = value
+        with pytest.raises(ContractError, match="colors contain non-finite"):
+            normalize_cloud(coords, colors)
+
+
+def test_normalize_rejects_colors_outside_unit_range():
+    coords = np.random.default_rng(3).uniform(0, 1, (4, 3))
+    for value in (-1e-9, 1.0 + 1e-9, 255.0):
+        colors = np.full((4, 3), 0.5)
+        colors[0, 2] = value
+        with pytest.raises(ContractError, match=r"colors must lie in \[0, 1\]"):
+            normalize_cloud(coords, colors)
+    edges = np.array([[0.0, 1.0, 0.5]] * 4)
+    assert np.array_equal(normalize_cloud(coords, edges).colors, edges)
+
+
 def test_default_colors_and_labels():
     cloud = normalize_cloud(np.random.default_rng(1).uniform(0, 1, (6, 3)))
     assert np.all(cloud.colors == 0.5)

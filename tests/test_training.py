@@ -4,7 +4,7 @@ training loop: loss descent, determinism, probes, and early stop."""
 import numpy as np
 import pytest
 
-from psformer.autodiff import ContractError, Tensor, backward
+from psformer.autodiff import ContractError, Tensor
 from psformer.config import DataSection, ModelConfig
 from psformer.model import PSFormer
 from psformer.training import (Adam, eval_model, gen_synthetic_scene,
