@@ -16,7 +16,7 @@ from .config import ConfigError, ModelConfig, load_config, parse_config, seriali
 from .metrics import MetricsReport, evaluate, parse_report, write_report
 from .model import PSFormer, SaliencyPrediction
 from .plyio import PlyParseError, parse_ply, write_ply
-from .pointcloud import PointCloud, farthest_point_sample, normalize_cloud
+from .pointcloud import PointCloud, normalize_cloud
 from .training import Adam, eval_model, gen_synthetic_scene, run_ablation, train_model
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "backward",
     "eval_model",
     "evaluate",
-    "farthest_point_sample",
     "gen_synthetic_scene",
     "grad_check",
     "load_checkpoint",

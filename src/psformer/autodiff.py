@@ -13,7 +13,6 @@ plain read-only values.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,10 +27,6 @@ class ContractError(ValueError):
 
 
 _GRAD_ENABLED = True
-
-# Test hook, read once at import: a deliberately wrong relu backward rule for
-# negative controls of the gradient checks.
-_CORRUPT_BACKWARD = bool(os.environ.get("PSF_CORRUPT_BACKWARD"))
 
 
 class no_grad:
@@ -78,12 +73,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single element, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
@@ -137,15 +126,6 @@ class Tensor:
 
     def sqrt(self) -> "Tensor":
         return sqrt(self)
-
-    def relu(self) -> "Tensor":
-        return relu(self)
-
-    def sigmoid(self) -> "Tensor":
-        return sigmoid(self)
-
-    def softmax(self, axis: int = -1) -> "Tensor":
-        return softmax(self, axis)
 
 
 def as_tensor(x) -> Tensor:
@@ -259,10 +239,7 @@ def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def backward_fn(g):
-        gi = g * (a.data > 0.0)
-        if _CORRUPT_BACKWARD:
-            gi = gi * 1.01
-        _accum(a, gi)
+        _accum(a, g * (a.data > 0.0))
 
     return _make(data, (a,), backward_fn, "relu")
 

@@ -37,13 +37,13 @@ class CheckpointError(ValueError):
 def save_checkpoint(path: str, model, optimizer=None) -> None:
     from .config import serialize_config
 
-    state = {"t": 0} if optimizer is None else optimizer.state_dict()
     arrays = {f"param/{n}": p.data for n, p in model.parameters().items()}
-    for moment in ("m", "v") if optimizer is not None else ():
-        arrays.update((f"adam.{moment}/{n}", a) for n, a in state[moment].items())
+    if optimizer is not None:
+        arrays.update((f"adam.m/{n}", a) for n, a in optimizer.m.items())
+        arrays.update((f"adam.v/{n}", a) for n, a in optimizer.v.items())
     members = {"format": np.frombuffer(_FORMAT, np.uint8),
                "config": np.frombuffer(serialize_config(model.config).encode(), np.uint8),
-               "step": np.int64(state["t"]),
+               "step": np.int64(0 if optimizer is None else optimizer.t),
                **{n: np.ascontiguousarray(a, "<f8") for n, a in arrays.items()}}
 
     directory = os.path.dirname(os.path.abspath(path))

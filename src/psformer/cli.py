@@ -176,18 +176,15 @@ def cmd_eval(checkpoint_path: str, data_path: str, out: str | None = None,
 def predict_cloud(model: PSFormer, cloud: PointCloud) -> np.ndarray:
     """Per-point saliency for a cloud of any size.
 
-    Clouds larger than the configured patch size are split into chunks seeded
-    by farthest-point sampling: every point joins its nearest seed, chunks too
+    The cloud is split into ceil(n / patch size) chunks seeded by
+    farthest-point sampling: every point joins its nearest seed, chunks too
     small for the encoder merge into the largest one, and each chunk is
-    normalized and predicted independently. Results reassemble by original
-    index, so coincident points (identical chunk assignment and features)
-    always get equal saliency. No autodiff graph is built.
+    normalized and predicted independently. A cloud within the patch size is
+    one chunk of all its points. Results reassemble by original index, so
+    coincident points (identical chunk assignment and features) always get
+    equal saliency. No autodiff graph is built.
     """
     patch = model.config.data.patch_size
-    if cloud.n <= patch:
-        with no_grad():
-            return model.forward(cloud).probabilities
-
     k = math.ceil(cloud.n / patch)
     seeds = cloud.coords[fps_indices(cloud.coords, k)]
     assign = nearest_index(cloud.coords, seeds)

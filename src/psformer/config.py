@@ -256,14 +256,6 @@ def parse_config(text: str) -> ModelConfig:
 
 
 def _apply_key(cfg: ModelConfig, key: str, raw: str) -> None:
-    if key == "model.attn_cap":
-        # Retired key: configs written before attention memory was bounded
-        # carry it at 0 (whole-set attention), which is what the model does.
-        if _parse_value(raw, int, key) != 0:
-            raise ConfigError(
-                f"{key}={raw}: chunked attention was removed; attention always "
-                "spans the whole set")
-        return
     if "." not in key:
         raise ConfigError(f"unknown config key {key!r}")
     section, name = key.split(".", 1)

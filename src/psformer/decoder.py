@@ -28,7 +28,6 @@ from .autodiff import (
     relu,
     sigmoid,
 )
-from .pointcloud import PointCloud
 
 
 @dataclass
@@ -116,7 +115,7 @@ def init_head(rng: np.random.Generator, d_in: int, d_hidden: int) -> HeadParams:
 def ut_block(upper: Tensor, skip: Tensor, params: UTParams, interp: tuple) -> Tensor:
     """Trans(C(U(upper), skip)) at the skip resolution. interp is the
     (indices, weights) pair of the upsampling step from upper's points onto
-    skip's points (pointcloud.interp_weights)."""
+    skip's points (_kernels.three_nn, as PSFormer.build_geometry makes it)."""
     idx, w = interp
     up = interp_apply(upper, idx, w)
     cat = concat([up, skip], axis=-1)
@@ -130,17 +129,18 @@ def ut_block(upper: Tensor, skip: Tensor, params: UTParams, interp: tuple) -> Te
     return fused
 
 
-def decode(levels, cloud: PointCloud, params: DecoderParams,
+def decode(levels, features9: Tensor, params: DecoderParams,
            interp_chain) -> Tensor:
     """Chain ut_block from the coarsest level down through level 1, then one
-    more step onto the original points with the lifted 9-channel input as the
-    final skip; interp_chain holds each step's (indices, weights), coarsest
-    first. Returns (N, d_dec) per-point features."""
+    more step onto the original points with the lifted (N, 9) input
+    features9 as the final skip; interp_chain holds each step's
+    (indices, weights), coarsest first. Returns (N, d_dec) per-point
+    features."""
     if not len(levels) == len(params.uts) == len(interp_chain):
         raise ContractError(
             f"decode: {len(levels)} levels, {len(params.uts)} UT blocks and "
             f"{len(interp_chain)} interpolation steps")
-    stem = Tensor(cloud.features9()) @ params.stem_w + params.stem_b
+    stem = features9 @ params.stem_w + params.stem_b
     skips = list(levels[:-1])[::-1] + [stem]
     current = levels[-1]
     for skip, ut, interp in zip(skips, params.uts, interp_chain):

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .attention import TransParams, glorot, init_trans, trans_block
 from .autodiff import ContractError, Tensor, as_tensor, concat, gather_rows, group_max_pool
 from .config import LevelSpec
 from .featurenorm import FNParams, fn_apply, init_fn
-from .pointcloud import farthest_point_sample, group_indices
 
 
 @dataclass
@@ -70,11 +70,13 @@ class LevelGeometry:
 
 def build_level_geometry(coords: np.ndarray, spec: LevelSpec,
                          radius_scale: float = 1.0) -> LevelGeometry:
+    """FPS seeds and ball-query groups of one level. The one check that the
+    cloud holds enough points; m, k and radius were validated with the config."""
     if coords.shape[0] < spec.m:
         raise ContractError(
             f"pct level needs at least {spec.m} points, got {coords.shape[0]}")
-    centroid_idx = farthest_point_sample(coords, spec.m)
-    neighbor_idx, counts = group_indices(
+    centroid_idx = _kernels.fps_indices(coords, spec.m)
+    neighbor_idx, counts = _kernels.ball_query(
         coords, centroid_idx, spec.radius * radius_scale, spec.k)
     return LevelGeometry(centroid_idx, neighbor_idx, counts)
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .attention import glorot
 from .autodiff import ContractError, Tensor
 from .config import ModelConfig
@@ -21,7 +22,7 @@ from .decoder import (
     predict_head,
 )
 from .encoder import build_level_geometry, encode_features, init_level
-from .pointcloud import PointCloud, interp_weights
+from .pointcloud import PointCloud
 
 
 @dataclass
@@ -106,20 +107,18 @@ class PSFormer:
             coords_chain.append(coords)
         dsts = coords_chain[-2::-1] + [cloud.coords]
         srcs = coords_chain[::-1]
-        interp = [interp_weights(s, d) for s, d in zip(srcs, dsts)]
+        interp = [_kernels.three_nn(d, s) for s, d in zip(srcs, dsts)]
         return ModelGeometry(levels=geoms, interp=interp)
 
     # forward ------------------------------------------------------------
 
     def forward(self, cloud: PointCloud,
                 geometry: ModelGeometry | None = None) -> SaliencyPrediction:
-        if cloud.n < self.config.levels[0].m:
-            raise ContractError(
-                f"cloud has {cloud.n} points, level 1 needs {self.config.levels[0].m}")
         if geometry is None:
             geometry = self.build_geometry(cloud)
-        levels = encode_features(cloud.coords, Tensor(cloud.features9()),
+        features9 = Tensor(cloud.features9())
+        levels = encode_features(cloud.coords, features9,
                                  self.level_params, geometry.levels)
-        feats = decode(levels, cloud, self.dec_params, geometry.interp)
+        feats = decode(levels, features9, self.dec_params, geometry.interp)
         ctx = mca(levels, self.mca_params) if self.mca_params is not None else None
         return predict_head(feats, ctx, self.head_params)

@@ -48,11 +48,6 @@ class Adam(object):
             v = self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
             p.data = p.data - self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
-    def state_dict(self) -> dict:
-        return {"t": self.t,
-                "m": {k: a.copy() for k, a in self.m.items()},
-                "v": {k: a.copy() for k, a in self.v.items()}}
-
     def load_state(self, state: dict) -> None:
         if set(state["m"]) != set(self.m) or set(state["v"]) != set(self.v):
             raise ContractError("Adam state does not match the parameter set")
@@ -189,9 +184,8 @@ def eval_model(model: PSFormer, scenes, threshold: float | None = None,
             pred = model.forward(cloud, geometry=geom)
             thr = threshold if threshold is not None else model.config.model.threshold
             if adaptive:
-                thr = adaptive_threshold(pred.probabilities)
-            reports.append(evaluate(pred.probabilities, cloud.labels,
-                                    clamp_threshold(thr), name=name))
+                thr = clamp_threshold(adaptive_threshold(pred.probabilities))
+            reports.append(evaluate(pred.probabilities, cloud.labels, thr, name=name))
     return average_reports(reports, name)
 
 

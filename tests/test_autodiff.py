@@ -5,18 +5,14 @@ references; backward passes are spot-checked against closed forms and the
 finite-difference checker.
 """
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from psformer.autodiff import (CheckReport, ContractError, ShapeError, Tensor,
-                               backward, bce_with_logits, column_max, concat,
-                               gather_rows, grad_check, group_max_pool,
-                               interp_apply, matmul, no_grad, relu, sigmoid,
-                               softmax, tmean, tsum)
+                               _accum, _make, backward, bce_with_logits,
+                               column_max, concat, gather_rows, grad_check,
+                               group_max_pool, interp_apply, matmul, no_grad,
+                               relu, sigmoid, softmax, tmean, tsum)
 
 
 def _matmul_loops(a, b):
@@ -332,22 +328,20 @@ def test_grad_check_step_must_be_positive():
 
 
 def test_corrupted_backward_fails_grad_check():
-    # negative control: the env flag skews relu's backward by 1%
-    code = (
-        "import numpy as np\n"
-        "from psformer.autodiff import Tensor, grad_check, relu, matmul\n"
-        "rng = np.random.default_rng(0)\n"
-        "w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)\n"
-        "x = rng.standard_normal((4, 3))\n"
-        "f = lambda: (relu(matmul(Tensor(x), w)) ** 2 if False else "
-        "(relu(matmul(Tensor(x), w)) * relu(matmul(Tensor(x), w))).mean())\n"
-        "report = grad_check(f, {'w': w})\n"
-        "raise SystemExit(0 if not report.passed else 1)\n"
-    )
-    env = dict(os.environ, PSF_CORRUPT_BACKWARD="1")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    # negative control: a relu whose backward rule is skewed by 1% must fail
+    # the check that the real relu passes
+    def skewed_relu(a):
+        def backward_fn(g):
+            _accum(a, g * (a.data > 0.0) * 1.01)
+        return _make(np.maximum(a.data, 0.0), (a,), backward_fn, "relu")
+
+    rng = np.random.default_rng(0)
+    w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    x = Tensor(rng.standard_normal((4, 3)))
+    for act, passes in ((relu, True), (skewed_relu, False)):
+        report = grad_check(lambda: (act(matmul(x, w)) * act(matmul(x, w))).mean(),
+                            {"w": w})
+        assert bool(report.passed) == passes, (act, report.max_rel_error)
 
 
 def test_check_report_lines_and_verdict():

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from psformer.autodiff import ContractError
 from psformer.checkpoint import model_from_checkpoint, save_checkpoint
 from psformer.cli import cmd_gradcheck, main, predict_cloud
 from psformer.config import DataSection, ModelConfig
@@ -13,7 +14,7 @@ from psformer.metrics import parse_report
 from psformer.model import PSFormer
 from psformer.plyio import parse_ply, write_ply
 from psformer.pointcloud import normalize_cloud
-from psformer.training import gen_synthetic_scene
+from psformer.training import eval_model, gen_synthetic_scene
 
 
 @pytest.fixture(autouse=True)
@@ -209,6 +210,21 @@ def test_eval_prints_and_writes_report(tmp_path, capsys):
     assert report.threshold == 0.3
 
 
+@pytest.mark.parametrize("threshold", ["1.5", "0"])
+def test_eval_rejects_threshold_outside_open_unit_interval(tmp_path, capsys, threshold):
+    cfg = _write_config(tmp_path)
+    scenes = tmp_path / "scenes"
+    assert main(["gen-data", "--config", cfg, "--out", str(scenes),
+                 "--count", "1"]) == 0
+    ckpt, model = _tiny_checkpoint(tmp_path)
+    assert main(["eval", "--checkpoint", ckpt, "--data", str(scenes),
+                 "--threshold", threshold]) == 1
+    assert capsys.readouterr().out == ""
+    scene = parse_ply(str(scenes / "scene_0000.ply"))
+    with pytest.raises(ContractError, match=r"threshold must be in \(0,1\)"):
+        eval_model(model, [scene], threshold=float(threshold))
+
+
 def test_eval_single_file_works(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     scenes = tmp_path / "scenes"
@@ -253,6 +269,15 @@ def test_predict_writes_heatmap(tmp_path, capsys):
     assert np.array_equal(np.round(heat.colors[:, 0] * 255),
                           np.round(255 * probs))
     assert np.all(heat.colors[:, 1] == 0)
+
+
+def test_predict_cloud_one_patch_is_forward():
+    # a cloud within the patch size is a single chunk of all its points
+    model = PSFormer(ModelConfig.tiny(), seed=0)
+    scene = gen_synthetic_scene(1, model.config.data)
+    assert scene.n <= model.config.data.patch_size
+    assert np.array_equal(predict_cloud(model, scene),
+                          model.forward(scene).probabilities)
 
 
 def test_predict_cloud_chunks_oversized_input():

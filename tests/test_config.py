@@ -89,6 +89,8 @@ def test_unknown_keys_are_named():
         parse_config("bogus=1\n")
     with pytest.raises(ConfigError, match="level1.q"):
         parse_config("preset=tiny\nlevel1.q=3\n")
+    with pytest.raises(ConfigError, match="model.attn_cap"):
+        parse_config("preset=tiny\nmodel.attn_cap=0\n")
 
 
 def test_level_index_bounds():
@@ -151,6 +153,10 @@ def test_validation_patch_size_covers_level1():
 def test_validation_positive_fields():
     with pytest.raises(ConfigError, match="radius"):
         parse_config("preset=tiny\nlevel3.radius=0\n")
+    with pytest.raises(ConfigError, match="m, k, d_out must be positive"):
+        parse_config("preset=tiny\nlevel5.m=0\n")
+    with pytest.raises(ConfigError, match="m, k, d_out must be positive"):
+        parse_config("preset=tiny\nlevel2.k=0\n")
     with pytest.raises(ConfigError, match="lr"):
         parse_config("preset=tiny\noptim.lr=0\n")
     with pytest.raises(ConfigError, match="fn_eps"):

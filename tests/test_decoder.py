@@ -5,16 +5,13 @@ reference and for point-order invariance."""
 import numpy as np
 import pytest
 
-from psformer import config
+from psformer._kernels import three_nn
 from psformer.attention import trans_block
 from psformer.autodiff import ShapeError, Tensor, grad_check
 from psformer.decoder import (decode, init_head, init_mca, init_ut, mca,
                               predict_head, ut_block)
-from psformer.pointcloud import interp_weights, normalize_cloud
+from psformer.pointcloud import normalize_cloud
 from psformer.autodiff import ContractError, concat, interp_apply
-from psformer.checkpoint import model_from_checkpoint, save_checkpoint
-from psformer.config import ConfigError, ModelConfig, parse_config
-from psformer.model import PSFormer
 
 
 def _level_out(rng, n, d):
@@ -25,7 +22,7 @@ def _level_out(rng, n, d):
 
 
 def _ut(upper, skip, params):
-    return ut_block(upper[1], skip[1], params, interp_weights(upper[0], skip[0]))
+    return ut_block(upper[1], skip[1], params, three_nn(skip[0], upper[0]))
 
 
 # ---------------------------------------------------------------- ut blocks
@@ -40,7 +37,7 @@ def test_ut_block_shapes_and_composition():
     assert out.shape == (9, 5)
 
     # equals the manual pipeline: interpolate, concat, fuse, transformer
-    idx, w = interp_weights(upper[0], skip[0])
+    idx, w = three_nn(skip[0], upper[0])
     up = interp_apply(upper[1], idx, w)
     cat = concat([up, skip[1]], axis=-1)
     fused = cat @ params.fuse_w + params.fuse_b
@@ -56,7 +53,7 @@ def test_ut_block_without_transformer_is_linear_fuse():
     assert params.trans is None
 
     out = _ut(upper, skip, params)
-    idx, w = interp_weights(upper[0], skip[0])
+    idx, w = three_nn(skip[0], upper[0])
     up = interp_apply(upper[1], idx, w)
     cat = concat([up, skip[1]], axis=-1)
     fused = cat @ params.fuse_w + params.fuse_b
@@ -70,27 +67,6 @@ def test_ut_block_rejects_mismatched_fuse_width():
     params = init_ut(rng, d_up=6, d_skip=4)  # expects skip width 4, not 5
     with pytest.raises(ShapeError):
         _ut(upper, skip, params)
-
-
-def test_checkpoint_with_retired_attn_cap_zero_still_loads(tmp_path, monkeypatch):
-    # Checkpoints written while chunked attention existed carry the key at 0.
-    model = PSFormer(ModelConfig.tiny())
-    serialize = config.serialize_config
-    monkeypatch.setattr(config, "serialize_config",
-                        lambda cfg: serialize(cfg) + "model.attn_cap=0\n")
-    path = str(tmp_path / "old.ckpt")
-    save_checkpoint(path, model)
-    with open(path, "rb") as fh:
-        assert b"model.attn_cap=0" in fh.read()
-    loaded, _, _ = model_from_checkpoint(path)
-    assert loaded.config == model.config
-    for name, p in model.parameters().items():
-        assert np.array_equal(loaded.parameters()[name].data, p.data), name
-
-
-def test_retired_attn_cap_nonzero_raises():
-    with pytest.raises(ConfigError, match="chunked attention was removed"):
-        parse_config("preset=tiny\nmodel.attn_cap=64\n")
 
 
 # ------------------------------------------------------------ scene context
@@ -222,8 +198,8 @@ def _decode(levels, cloud, params):
     interpolation, coarsest first, made as PSFormer.build_geometry makes it."""
     coords = [c for c, _ in levels]
     dsts = coords[-2::-1] + [cloud.coords]
-    chain = [interp_weights(c, d) for c, d in zip(coords[::-1], dsts)]
-    return decode([f for _, f in levels], cloud, params, chain)
+    chain = [three_nn(d, c) for c, d in zip(coords[::-1], dsts)]
+    return decode([f for _, f in levels], Tensor(cloud.features9()), params, chain)
 
 
 def test_decode_end_to_end_shape():

@@ -190,7 +190,7 @@ def test_uniform_coincident_cloud_gives_uniform_outputs():
     coords = np.tile(rng.uniform(0, 1, 3), (10, 1))
     colors = np.tile(rng.uniform(0, 1, 3), (10, 1))
     cloud = normalize_cloud(coords, colors)
-    assert cloud.degenerate
+    assert cloud.extent == 0.0
     spec = _level(m=4, radius=0.5, k=5)
     params = _params(rng, 9, spec)
     out = _block(cloud, spec, params)

