@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ShapeError, Tensor, _accum, _make, as_tensor, relu,
-                       softmax_data)
+from .autodiff import ShapeError, Tensor, _accum, _make, relu, softmax_data
 
 # Most logits one block of query rows may hold, summed over a batch of sets:
 # 2^21 float64 values, 16 MB per block-sized temporary.
@@ -80,8 +79,7 @@ def init_trans(rng: np.random.Generator, d_in: int, d: int | None = None) -> Tra
     )
 
 
-def project_qkv(f, params: TransParams):
-    f = as_tensor(f)
+def project_qkv(f: Tensor, params: TransParams):
     if f.shape[-1] != params.d_in:
         raise ShapeError(
             f"project_qkv: features have width {f.shape[-1]}, params expect {params.d_in}")
@@ -97,7 +95,7 @@ def _row_blocks(q_shape: tuple, s: int) -> list:
     return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
-def attend(q, k, v) -> Tensor:
+def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax(Q Kᵀ / sqrt(d)) V, softmax over keys. Every element of a set
     attends over all S elements of that set.
 
@@ -109,7 +107,6 @@ def attend(q, k, v) -> Tensor:
     The k and v gradients sum over blocks, so the block size changes them
     only through summation order.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if (q.ndim < 2 or k.ndim != q.ndim or q.shape[:-2] != k.shape[:-2]
             or k.shape[:-1] != v.shape[:-1] or q.shape[-1] != k.shape[-1]):
         raise ShapeError(f"attend shapes incompatible: q {q.shape}, k {k.shape}, v {v.shape}")
@@ -146,14 +143,13 @@ def attend(q, k, v) -> Tensor:
     return _make(out, (q, k, v), backward_fn, "attend")
 
 
-def ffn(y, params: TransParams) -> Tensor:
+def ffn(y: Tensor, params: TransParams) -> Tensor:
     h = relu(y @ params.ffn_w1 + params.ffn_b1)
     return h @ params.ffn_w2 + params.ffn_b2
 
 
-def trans_block(f, params: TransParams) -> Tensor:
+def trans_block(f: Tensor, params: TransParams) -> Tensor:
     """F + FFN(attend(QKV(F))). The residual passes F through exactly when
     the FFN output is zero."""
-    f = as_tensor(f)
     q, k, v = project_qkv(f, params)
     return f + ffn(attend(q, k, v), params)

@@ -82,29 +82,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, as_tensor(other))
 
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
 
     def __mul__(self, other):
         return mul(self, as_tensor(other))
 
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
     def __truediv__(self, other):
         return div(self, as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, as_tensor(other))
@@ -114,18 +99,13 @@ class Tensor:
         return swap_last(self)
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         return reshape(self, shape)
 
-    def sum(self, axis=None, keepdims=False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
+    def sum(self) -> "Tensor":
+        return tsum(self)
 
-    def mean(self, axis=None, keepdims=False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def sqrt(self) -> "Tensor":
-        return sqrt(self)
+    def mean(self) -> "Tensor":
+        return tmean(self)
 
 
 def as_tensor(x) -> Tensor:
@@ -143,13 +123,15 @@ def _make(data: np.ndarray, parents, backward_fn, op: str) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add g to t.grad: the one place a gradient enters a tensor. g of an
+    op's broadcast output shape is summed down to t's shape first."""
     if not t.requires_grad:
         return
+    if g.shape != t.shape:
+        g = _unbroadcast(g, t.shape)
     if t.grad is None:
         # Copy: g may be a view into a child's gradient buffer.
         t.grad = np.array(g, dtype=np.float64)
-        if t.grad.shape != t.data.shape:
-            t.grad = np.broadcast_to(t.grad, t.data.shape).copy()
     else:
         t.grad += g
 
@@ -172,10 +154,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward_fn(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.shape))
+        _accum(a, g)
+        _accum(b, g)
 
     return _make(data, (a, b), backward_fn, "add")
 
@@ -184,10 +164,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
 
     def backward_fn(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
+        _accum(a, g)
         if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.shape))
+            _accum(b, -g)
 
     return _make(data, (a, b), backward_fn, "sub")
 
@@ -197,9 +176,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.shape))
+            _accum(a, g * b.data)
         if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.shape))
+            _accum(b, g * a.data)
 
     return _make(data, (a, b), backward_fn, "mul")
 
@@ -209,18 +188,11 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g / b.data, a.shape))
+            _accum(a, g / b.data)
         if b.requires_grad:
-            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+            _accum(b, -g * a.data / (b.data * b.data))
 
     return _make(data, (a, b), backward_fn, "div")
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward_fn(g):
-        _accum(a, -g)
-
-    return _make(-a.data, (a,), backward_fn, "neg")
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -244,14 +216,10 @@ def relu(a: Tensor) -> Tensor:
     return _make(data, (a,), backward_fn, "relu")
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    z = np.exp(-np.abs(a.data))
-    data = np.where(a.data >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-    def backward_fn(g):
-        _accum(a, g * data * (1.0 - data))
-
-    return _make(data, (a,), backward_fn, "sigmoid")
+def sigmoid_data(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid of a plain array, in the form that never overflows."""
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
 def softmax_data(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -282,7 +250,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+            _accum(a, g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
             if b.ndim == 2 and g.ndim > 2 and a.shape[:-1] == g.shape[:-1]:
                 # Batched stack times shared matrix: one flat product instead
@@ -291,7 +259,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 gg = g.reshape(-1, g.shape[-1])
                 _accum(b, ga.T @ gg)
             else:
-                _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+                _accum(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _make(data, (a, b), backward_fn, "matmul")
 
@@ -316,8 +284,7 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     return _make(data, (a,), backward_fn, "reshape")
 
 
-def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
+def concat(tensors: list, axis: int = -1) -> Tensor:
     if not tensors:
         raise ShapeError("concat needs at least one tensor")
     first = tensors[0].data.shape
@@ -346,8 +313,6 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     data = a.data[idx]
 
     def backward_fn(g):
-        if not a.requires_grad:
-            return
         ga = np.zeros_like(a.data)
         np.add.at(ga, idx.reshape(-1), g.reshape((idx.size,) + a.shape[1:]))
         _accum(a, ga)
@@ -358,26 +323,17 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 # reductions ------------------------------------------------------------
 
 
-def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
+def tsum(a: Tensor) -> Tensor:
+    """Sum of every element, a scalar."""
     def backward_fn(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.shape).copy())
-            return
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape).copy())
+        _accum(a, np.broadcast_to(g, a.shape))
 
-    return _make(data, (a,), backward_fn, "sum")
+    return _make(a.data.sum(), (a,), backward_fn, "sum")
 
 
-def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    n = a.data.size if axis is None else np.prod(
-        [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-    s = tsum(a, axis=axis, keepdims=keepdims)
-    return mul(s, Tensor(1.0 / float(n)))
+def tmean(a: Tensor) -> Tensor:
+    """Mean of every element, a scalar: the sum times 1/size."""
+    return mul(tsum(a), Tensor(1.0 / float(a.data.size)))
 
 
 def group_max_pool(a: Tensor, valid_counts) -> Tensor:
@@ -427,8 +383,6 @@ def interp_apply(src: Tensor, idx: np.ndarray, weights: np.ndarray) -> Tensor:
     data = np.einsum("nk,nkd->nd", w, src.data[idx])
 
     def backward_fn(g):
-        if not src.requires_grad:
-            return
         gs = np.zeros_like(src.data)
         contrib = w[:, :, None] * g[:, None, :]
         np.add.at(gs, idx.reshape(-1), contrib.reshape(-1, src.shape[1]))
@@ -446,9 +400,7 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
     data = np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z))))
 
     def backward_fn(g):
-        ez = np.exp(-np.abs(z))
-        s = np.where(z >= 0.0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-        _accum(logits, g * (s - y) / z.size)
+        _accum(logits, g * (sigmoid_data(z) - y) / z.size)
 
     return _make(data, (logits,), backward_fn, "bce_with_logits")
 
@@ -507,19 +459,17 @@ class CheckReport:
             yield f"{name:<28s} max_rel_err={err:.3e} {status}"
 
 
-def grad_check(f, params, step: float = 1e-5, tol: float = 1e-4,
+def grad_check(f, params: dict, step: float = 1e-5, tol: float = 1e-4,
                max_elems: int = 0) -> CheckReport:
     """Compare analytic gradients of scalar f() against central differences.
 
-    params is a dict name -> Tensor (or a list, auto-named); f must be a
-    deterministic closure over them. Relative error per element is
+    params is a dict name -> Tensor; f must be a deterministic closure over
+    them. Relative error per element is
     |a - n| / max(|a|, |n|, 1e-8). max_elems > 0 caps the number of elements
     probed per parameter (a fast smoke mode); 0 checks every element.
     """
     if step <= 0:
         raise ContractError("grad_check: step must be positive")
-    if not isinstance(params, dict):
-        params = {f"param{i}": p for i, p in enumerate(params)}
 
     with no_grad():
         y0 = f().data.copy()

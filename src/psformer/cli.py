@@ -21,7 +21,7 @@ from .autodiff import ContractError, bce_with_logits, grad_check, no_grad
 from .checkpoint import (CheckpointError, model_from_checkpoint,
                          save_checkpoint)
 from .config import ABLATION_FLAGS, ConfigError, ModelConfig, load_config
-from .metrics import format_table, write_report
+from .metrics import check_threshold, format_table, write_report
 from .model import PSFormer
 from .plyio import PlyParseError, parse_ply, write_ply
 from .pointcloud import PointCloud, normalize_cloud
@@ -43,17 +43,19 @@ def _setup_logging() -> None:
         raise CLIError(
             f"PSF_LOG_LEVEL must be one of error, info, debug; got {name!r}")
     if not log.handlers:
-        handler = logging.StreamHandler(sys.stderr)
+        handler = logging.StreamHandler()
         handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
         log.addHandler(handler)
         log.propagate = False
+    # The caller may have replaced sys.stderr since the last main(). Plain
+    # assignment, not setStream(): that flushes the old stream, which may be
+    # closed by now.
+    log.handlers[0].stream = sys.stderr
     log.setLevel(_LOG_LEVELS[name])
 
 
 def _config_from(path: str | None) -> ModelConfig:
-    cfg = load_config(path) if path else ModelConfig.default()
-    cfg.validate()
-    return cfg
+    return load_config(path) if path else ModelConfig.default()
 
 
 def _load_scene_dir(path: str, require_labels: bool):
@@ -143,7 +145,7 @@ def cmd_train(config_path: str | None, out_dir: str, seed: int | None = None,
                              shuffle_seed=cfg.data.seed, log_fn=on_epoch)
 
     save_checkpoint(ckpt_path, model, optimizer)
-    summary = (f"trained {result.epochs_run} epochs, final loss "
+    summary = (f"trained {len(result.losses)} epochs, final loss "
                f"{result.losses[-1]:.6g}")
     if result.train_metrics is not None:
         summary += (f", train iou {result.train_metrics.iou:.4f}, "
@@ -160,6 +162,8 @@ def cmd_train(config_path: str | None, out_dir: str, seed: int | None = None,
 
 def cmd_eval(checkpoint_path: str, data_path: str, out: str | None = None,
              threshold: float | None = None) -> int:
+    if threshold is not None:
+        check_threshold(threshold)
     model, _, _ = model_from_checkpoint(checkpoint_path)
     scenes, files = _load_scene_dir(data_path, require_labels=True)
     adaptive = model.config.model.adaptive_threshold and threshold is None

@@ -20,13 +20,12 @@ from .autodiff import (
     ContractError,
     ShapeError,
     Tensor,
-    as_tensor,
     column_max,
     concat,
     gather_rows,
     interp_apply,
     relu,
-    sigmoid,
+    sigmoid_data,
 )
 
 
@@ -161,12 +160,12 @@ def mca(levels, params: MCAParams) -> Tensor:
     return concat(pieces, axis=0)
 
 
-def predict_head(point_features, context: Tensor | None,
+def predict_head(point_features: Tensor, context: Tensor | None,
                  params: HeadParams) -> SaliencyPrediction:
     """Broadcast-concat the scene context onto every point row, then a
     two-layer MLP to one logit per point. context=None drops the context
     columns (the no-context ablation); parameter widths must agree."""
-    f = as_tensor(point_features)
+    f = point_features
     n = f.shape[0]
     if context is not None:
         ctx_rows = gather_rows(context.reshape(1, context.shape[0]),
@@ -178,4 +177,4 @@ def predict_head(point_features, context: Tensor | None,
             f"weights {params.w1.shape}")
     h = relu(f @ params.w1 + params.b1)
     logits = (h @ params.w2 + params.b2).reshape(n)
-    return SaliencyPrediction(logits=logits, probabilities=sigmoid(logits).data)
+    return SaliencyPrediction(logits=logits, probabilities=sigmoid_data(logits.data))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .attention import TransParams, glorot, init_trans, trans_block
-from .autodiff import ContractError, Tensor, as_tensor, concat, gather_rows, group_max_pool
+from .autodiff import ContractError, Tensor, concat, gather_rows, group_max_pool
 from .config import LevelSpec
 from .featurenorm import FNParams, fn_apply, init_fn
 
@@ -81,13 +81,12 @@ def build_level_geometry(coords: np.ndarray, spec: LevelSpec,
     return LevelGeometry(centroid_idx, neighbor_idx, counts)
 
 
-def pct_block(coords: np.ndarray, features, geometry: LevelGeometry,
+def pct_block(coords: np.ndarray, features: Tensor, geometry: LevelGeometry,
               params: PCTLevelParams) -> Tensor:
     """One level on (N, d_in) features at coords: the (M, d_out) features of
     its seeds, geometry.centroid_idx. Each member's offset from its centroid
     is appended before the lift; FN centers members on the lifted centroid
     feature, whose own offset is zero."""
-    features = as_tensor(features)
     ctr_idx, nb_idx = geometry.centroid_idx, geometry.neighbor_idx
 
     def lift(x: Tensor, offsets: np.ndarray) -> Tensor:
@@ -107,13 +106,12 @@ def pct_block(coords: np.ndarray, features, geometry: LevelGeometry,
     return seeds
 
 
-def encode_features(coords: np.ndarray, features, params, geometry) -> list:
+def encode_features(coords: np.ndarray, features: Tensor, params, geometry) -> list:
     """Chain pct_block over each level's parameters and geometry. Level l
     consumes level l-1's seeds; returns every level's feature Tensor."""
     levels = []
-    feats = as_tensor(features)
     for p, geom in zip(params, geometry):
-        feats = pct_block(coords, feats, geom, p)
-        levels.append(feats)
+        features = pct_block(coords, features, geom, p)
+        levels.append(features)
         coords = coords[geom.centroid_idx]
     return levels

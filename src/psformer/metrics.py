@@ -21,6 +21,12 @@ F_BETA_SQ = 0.3
 _XI_EPS = 1e-12
 
 
+def check_threshold(threshold: float) -> None:
+    """A binarization threshold must lie strictly inside (0, 1)."""
+    if not 0.0 < threshold < 1.0:
+        raise ContractError(f"threshold must be in (0,1), got {threshold}")
+
+
 def _mask_pair(probabilities, labels, threshold: float):
     p = np.asarray(probabilities, dtype=np.float64).reshape(-1)
     g = np.asarray(labels, dtype=bool).reshape(-1)
@@ -28,8 +34,7 @@ def _mask_pair(probabilities, labels, threshold: float):
         raise ContractError("metrics need at least one point")
     if p.size != g.size:
         raise ContractError(f"length mismatch: {p.size} probabilities, {g.size} labels")
-    if not 0.0 < threshold < 1.0:
-        raise ContractError(f"threshold must be in (0,1), got {threshold}")
+    check_threshold(threshold)
     return p > threshold, g
 
 

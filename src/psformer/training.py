@@ -160,7 +160,6 @@ def make_scenes(cfg: DataSection, count: int, seed0: int):
 class TrainResult:
     losses: list = field(default_factory=list)      # one mean loss per epoch
     train_metrics: MetricsReport | None = None
-    epochs_run: int = 0
     stopped_early: bool = False
 
 
@@ -233,7 +232,6 @@ def train_model(model: PSFormer, scenes, optimizer: Adam | None = None,
             epoch_loss += value * len(idx)
         epoch_loss /= len(scenes)
         result.losses.append(epoch_loss)
-        result.epochs_run = epoch + 1
 
         probe = (cfg.train.eval_every > 0 and (epoch + 1) % cfg.train.eval_every == 0)
         if probe or epoch == epochs - 1:

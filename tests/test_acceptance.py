@@ -272,9 +272,9 @@ def test_desk_overfit(capsys):
         elapsed = time.perf_counter() - t0
         report = result.train_metrics
         ok = (report is not None and report.iou >= 0.95 and report.mae <= 0.05
-              and result.epochs_run <= 200 and elapsed <= 600.0)
+              and len(result.losses) <= 200 and elapsed <= 600.0)
         detail = (f"iou={report.iou:.4f} mae={report.mae:.4f} after "
-                  f"{result.epochs_run} epochs, {elapsed:.0f}s "
+                  f"{len(result.losses)} epochs, {elapsed:.0f}s "
                   f"(targets iou>=0.95 mae<=0.05, caps 200 epochs / 600s)")
     finally:
         _verdict(capsys, 4, "desk overfit", ok, detail)

@@ -12,7 +12,7 @@ from psformer.autodiff import (CheckReport, ContractError, ShapeError, Tensor,
                                _accum, _make, backward, bce_with_logits,
                                column_max, concat, gather_rows, grad_check,
                                group_max_pool, interp_apply, matmul, no_grad,
-                               relu, sigmoid, softmax, tmean, tsum)
+                               relu, sigmoid_data, softmax, sqrt, tmean, tsum)
 
 
 def _matmul_loops(a, b):
@@ -118,11 +118,11 @@ def test_softmax_extreme_logits_finite():
 
 
 def test_sigmoid_matches_extended_precision():
-    got = sigmoid(Tensor([0.7, -3.2])).data
+    got = sigmoid_data(np.array([0.7, -3.2]))
     want = np.array([0.66818777216816610653, 0.039165722796764358658])
     assert np.allclose(got, want, atol=1e-15, rtol=0)
     # extremes saturate cleanly instead of overflowing
-    lo, hi = sigmoid(Tensor(-800.0)).data, sigmoid(Tensor(800.0)).data
+    lo, hi = sigmoid_data(np.array(-800.0)), sigmoid_data(np.array(800.0))
     assert np.isfinite(lo) and np.isfinite(hi)
     assert 0.0 <= lo < 1e-300 and hi == 1.0
 
@@ -158,7 +158,7 @@ def test_backward_shared_node_accumulates():
 
 def test_backward_div_sqrt_closed_forms():
     x = Tensor([4.0, 9.0], requires_grad=True)
-    backward(x.sqrt().sum())
+    backward(sqrt(x).sum())
     assert np.allclose(x.grad, 0.5 / np.sqrt(x.data), atol=1e-15, rtol=0)
 
     a = Tensor([1.0, 2.0], requires_grad=True)
@@ -180,6 +180,46 @@ def test_backward_broadcast_unbroadcasts():
     backward((Tensor(np.ones((2, 5))) * s).sum())
     assert s.grad.shape == ()
     assert s.grad == 10.0
+
+    # sub and div against a (3, 4) operand: a (4,) and a (1, 4) operand each
+    # get their gradient summed over the broadcast rows
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.uniform(1.0, 2.0, (3, 4)), requires_grad=True)
+    for shape in ((4,), (1, 4)):
+        y = Tensor(rng.uniform(1.0, 2.0, shape), requires_grad=True)
+        x.grad = None
+        backward((x - y).sum())
+        assert y.grad.shape == shape
+        assert np.all(x.grad == 1.0) and np.all(y.grad == -3.0)
+
+        x.grad = y.grad = None
+        backward((x / y).sum())
+        assert y.grad.shape == shape
+        assert np.allclose(x.grad, np.broadcast_to(1.0 / y.data, (3, 4)),
+                           atol=1e-15, rtol=0)
+        want = (-x.data / (y.data * y.data)).sum(axis=0).reshape(shape)
+        assert np.allclose(y.grad, want, atol=1e-14, rtol=0)
+
+    # a () divisor
+    d = Tensor(4.0, requires_grad=True)
+    x.grad = None
+    backward((x / d).sum())
+    assert d.grad.shape == ()
+    assert np.allclose(d.grad, -x.data.sum() / 16.0, atol=1e-14, rtol=0)
+    assert np.all(x.grad == 0.25)
+
+    # a batched matmul whose right operand broadcasts over the batch
+    a3 = Tensor(rng.standard_normal((3, 2, 4)), requires_grad=True)
+    b3 = Tensor(rng.standard_normal((1, 4, 5)), requires_grad=True)
+    backward(matmul(a3, b3).sum())
+    assert a3.grad.shape == (3, 2, 4) and b3.grad.shape == (1, 4, 5)
+    # d/dA sum(A B) = 1 Bᵀ: each row of A gets B's row sums
+    assert np.allclose(a3.grad, np.broadcast_to(b3.data[0].sum(axis=1), (3, 2, 4)),
+                       atol=1e-14, rtol=0)
+    # d/dB sum(A B) = Aᵀ 1, summed over the batch: each column gets A's column sums
+    col = a3.data.sum(axis=(0, 1))
+    assert np.allclose(b3.grad, np.broadcast_to(col[None, :, None], (1, 4, 5)),
+                       atol=1e-14, rtol=0)
 
 
 def test_relu_gradient_gate():
@@ -274,7 +314,6 @@ def test_concat_reshape_swap_last_roundtrip_grads():
 def test_sum_mean_axes():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     assert tsum(x).item() == 15.0
-    assert np.array_equal(tmean(x, axis=0).data, [1.5, 2.5, 3.5])
     backward(tmean(x).sum())
     assert np.allclose(x.grad, np.full((2, 3), 1.0 / 6.0), atol=1e-15)
 

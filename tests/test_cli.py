@@ -1,7 +1,10 @@
 """Command-line surface: every verb end to end in-process, exit codes for
 user errors, and the log/report files a run leaves behind."""
 
+import io
+import logging
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +50,17 @@ def test_bad_log_level_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("PSF_LOG_LEVEL", "chatty")
     assert main(["gen-data", "--out", "x"]) == 2
     assert "PSF_LOG_LEVEL" in capsys.readouterr().err
+
+
+def test_errors_follow_a_replaced_stderr(tmp_path, monkeypatch):
+    argv = ["eval", "--checkpoint", str(tmp_path / "missing.ckpt"),
+            "--data", str(tmp_path)]
+    assert main(argv) == 1
+    buf = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", buf)
+    assert main(argv) == 1
+    assert "missing.ckpt" in buf.getvalue()
+    assert len(logging.getLogger("psformer").handlers) == 1
 
 
 def test_missing_data_path_exits_1(tmp_path, capsys):
@@ -212,17 +226,18 @@ def test_eval_prints_and_writes_report(tmp_path, capsys):
 
 @pytest.mark.parametrize("threshold", ["1.5", "0"])
 def test_eval_rejects_threshold_outside_open_unit_interval(tmp_path, capsys, threshold):
-    cfg = _write_config(tmp_path)
-    scenes = tmp_path / "scenes"
-    assert main(["gen-data", "--config", cfg, "--out", str(scenes),
-                 "--count", "1"]) == 0
-    ckpt, model = _tiny_checkpoint(tmp_path)
-    assert main(["eval", "--checkpoint", ckpt, "--data", str(scenes),
+    # The range is checked before the checkpoint is opened, so the missing
+    # file is never reached.
+    missing = str(tmp_path / "missing.ckpt")
+    assert main(["eval", "--checkpoint", missing, "--data", str(tmp_path),
                  "--threshold", threshold]) == 1
-    assert capsys.readouterr().out == ""
-    scene = parse_ply(str(scenes / "scene_0000.ply"))
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "threshold must be in (0,1)" in err and "missing.ckpt" not in err
+    cfg = ModelConfig.tiny()
+    scene = gen_synthetic_scene(0, cfg.data)
     with pytest.raises(ContractError, match=r"threshold must be in \(0,1\)"):
-        eval_model(model, [scene], threshold=float(threshold))
+        eval_model(PSFormer(cfg), [scene], threshold=float(threshold))
 
 
 def test_eval_single_file_works(tmp_path, capsys):

@@ -187,10 +187,11 @@ def test_train_probe_and_early_stop():
     res = train_model(PSFormer(cfg, seed=0), scenes,
                       log_fn=lambda e, loss, rep: seen.append((e, rep)))
     assert res.stopped_early
-    assert res.epochs_run < 50
-    assert res.epochs_run % 2 == 0               # stopped at a probe
+    epochs_run = len(res.losses)
+    assert epochs_run < 50
+    assert epochs_run % 2 == 0               # stopped at a probe
     probes = [e for e, rep in seen if rep is not None]
-    assert probes == [e for e in range(2, res.epochs_run + 1, 2)]
+    assert probes == [e for e in range(2, epochs_run + 1, 2)]
     assert res.train_metrics is not None
     assert res.train_metrics.iou >= 0.05
 
