@@ -7,12 +7,13 @@ depth-first post-order walk and runs each closure once, in reverse of that
 order, so a node's gradient is complete before it is routed to its parents.
 An interior node's gradient is released as soon as it has been routed; leaf
 tensors (parameters) and the loss keep theirs. Tensors are confined to one
-thread during a forward/backward pass; tensors built under no_grad() are
-plain read-only values.
+thread during a forward/backward pass; tensors built under no_grad(), which
+holds in the calling thread only, are plain read-only values.
 """
 
 from __future__ import annotations
 
+import contextvars
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,21 +27,19 @@ class ContractError(ValueError):
     """A caller-side precondition was violated."""
 
 
-_GRAD_ENABLED = True
+_grad_enabled = contextvars.ContextVar("psformer_grad_enabled", default=True)
 
 
 class no_grad:
-    """Context manager that disables graph construction inside its scope."""
+    """Context manager that disables graph construction inside its scope, in
+    the calling thread only."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._token = _grad_enabled.set(False)
         return self
 
     def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _grad_enabled.reset(self._token)
         return False
 
 
@@ -114,7 +113,7 @@ def as_tensor(x) -> Tensor:
 
 def _make(data: np.ndarray, parents, backward_fn, op: str) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn

@@ -15,12 +15,12 @@ import collections
 import io
 import math
 import os
-import tempfile
 import zipfile
 
 import numpy as np
 
-from .config import ConfigError, parse_config
+from ._files import atomic_write
+from .config import ConfigError, parse_config, serialize_config
 from .model import PSFormer
 
 _FORMAT = b"psformer-checkpoint-2"
@@ -35,8 +35,6 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path: str, model, optimizer=None) -> None:
-    from .config import serialize_config
-
     arrays = {f"param/{n}": p.data for n, p in model.parameters().items()}
     if optimizer is not None:
         arrays.update((f"adam.m/{n}", a) for n, a in optimizer.m.items())
@@ -45,17 +43,8 @@ def save_checkpoint(path: str, model, optimizer=None) -> None:
                "config": np.frombuffer(serialize_config(model.config).encode(), np.uint8),
                "step": np.int64(0 if optimizer is None else optimizer.t),
                **{n: np.ascontiguousarray(a, "<f8") for n, a in arrays.items()}}
-
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **members)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_write(path, ".ckpt-") as fh:
+        np.savez(fh, **members)
 
 
 def _array(zf: zipfile.ZipFile, name: str, path: str) -> np.ndarray:

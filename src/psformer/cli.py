@@ -58,8 +58,9 @@ def _config_from(path: str | None) -> ModelConfig:
     return load_config(path) if path else ModelConfig.default()
 
 
-def _load_scene_dir(path: str, require_labels: bool):
-    """All .ply files under path (or a single file), parsed and sorted."""
+def _load_scene_dir(path: str) -> list:
+    """All .ply files under path (or a single file), parsed and sorted; each
+    must carry labels."""
     if os.path.isfile(path):
         files = [path]
     else:
@@ -71,10 +72,10 @@ def _load_scene_dir(path: str, require_labels: bool):
     scenes = []
     for f in files:
         cloud = parse_ply(f)
-        if require_labels and cloud.labels is None:
+        if cloud.labels is None:
             raise CLIError(f"{f}: no label property; labeled data required")
         scenes.append(cloud)
-    return scenes, files
+    return scenes
 
 
 # train ---------------------------------------------------------------------
@@ -114,7 +115,7 @@ def cmd_train(config_path: str | None, out_dir: str, seed: int | None = None,
         optimizer.load_state(optim_state)
 
     if cfg.data.dir:
-        scenes, files = _load_scene_dir(cfg.data.dir, require_labels=True)
+        scenes = _load_scene_dir(cfg.data.dir)
         log.info("training on %d labeled patches from %s", len(scenes), cfg.data.dir)
     else:
         scenes = make_scenes(cfg.data, cfg.data.train_scenes, cfg.data.seed)
@@ -165,7 +166,7 @@ def cmd_eval(checkpoint_path: str, data_path: str, out: str | None = None,
     if threshold is not None:
         check_threshold(threshold)
     model, _, _ = model_from_checkpoint(checkpoint_path)
-    scenes, files = _load_scene_dir(data_path, require_labels=True)
+    scenes = _load_scene_dir(data_path)
     adaptive = model.config.model.adaptive_threshold and threshold is None
     report = eval_model(model, scenes, threshold=threshold, adaptive=adaptive)
     print(report.line())

@@ -203,9 +203,6 @@ _PRESETS = {
     "tiny": ModelConfig.tiny,
 }
 
-_SECTIONS = {"model": ModelSection, "optim": OptimSection,
-             "data": DataSection, "train": TrainSection}
-
 
 def _parse_value(raw: str, kind: type, key: str):
     raw = raw.strip()
@@ -255,42 +252,29 @@ def parse_config(text: str) -> ModelConfig:
     return cfg
 
 
+def _sections(cfg: ModelConfig) -> dict:
+    """The config text's sections in file order, each a dataclass whose fields
+    are its keys: level1..level5, model, optim, data, train."""
+    levels = {f"level{i}": lv for i, lv in enumerate(cfg.levels, start=1)}
+    return {**levels, "model": cfg.model, "optim": cfg.optim, "data": cfg.data,
+            "train": cfg.train}
+
+
 def _apply_key(cfg: ModelConfig, key: str, raw: str) -> None:
-    if "." not in key:
+    section, _, name = key.partition(".")
+    target = _sections(cfg).get(section)
+    if target is None and section.startswith("level") and section[len("level"):].isdigit():
+        raise ConfigError(f"{key}: level index must be 1..{N_LEVELS}")
+    if target is None or name not in {f.name for f in fields(target)}:
         raise ConfigError(f"unknown config key {key!r}")
-    section, name = key.split(".", 1)
-    if section.startswith("level"):
-        try:
-            idx = int(section[len("level"):])
-        except ValueError:
-            raise ConfigError(f"unknown config key {key!r}") from None
-        if not 1 <= idx <= N_LEVELS:
-            raise ConfigError(f"{key}: level index must be 1..{N_LEVELS}")
-        kinds = {"m": int, "radius": float, "k": int, "d_out": int}
-        if name not in kinds:
-            raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg.levels[idx - 1], name, _parse_value(raw, kinds[name], key))
-        return
-    if section not in _SECTIONS:
-        raise ConfigError(f"unknown config key {key!r}")
-    target = getattr(cfg, section)
-    for f in fields(target):
-        if f.name == name:
-            kind = type(getattr(target, f.name))
-            setattr(target, name, _parse_value(raw, kind, key))
-            return
-    raise ConfigError(f"unknown config key {key!r}")
+    # A key's type is its current value's type; every preset gives each float
+    # field a float value.
+    setattr(target, name, _parse_value(raw, type(getattr(target, name)), key))
 
 
 def serialize_config(cfg: ModelConfig) -> str:
     lines = []
-    for i, lv in enumerate(cfg.levels, start=1):
-        lines.append(f"level{i}.m={lv.m}")
-        lines.append(f"level{i}.radius={lv.radius!r}")
-        lines.append(f"level{i}.k={lv.k}")
-        lines.append(f"level{i}.d_out={lv.d_out}")
-    for section in ("model", "optim", "data", "train"):
-        target = getattr(cfg, section)
+    for section, target in _sections(cfg).items():
         for f in fields(target):
             v = getattr(target, f.name)
             if isinstance(v, bool):

@@ -7,14 +7,13 @@ weighted beta^2 = 0.3 form; E-measure is the enhanced-alignment construction
 over binarized maps.
 """
 
-from __future__ import annotations
-
-import os
-import tempfile
+# No `from __future__ import annotations`: the report format reads each
+# MetricsReport field's type from `dataclasses.fields`.
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._files import atomic_write
 from .autodiff import ContractError
 
 F_BETA_SQ = 0.3
@@ -106,9 +105,10 @@ class MetricsReport:
     samples: int
 
     def line(self) -> str:
-        return (f"name={self.name} mae={self.mae:.17g} f_measure={self.f_measure:.17g} "
-                f"e_measure={self.e_measure:.17g} iou={self.iou:.17g} "
-                f"threshold={self.threshold:.17g} samples={self.samples}")
+        """`field=value` per field in declaration order; floats round-trip."""
+        return " ".join(
+            f"{f.name}={format(getattr(self, f.name), '.17g' if f.type is float else '')}"
+            for f in fields(self))
 
 
 def evaluate(probabilities, labels, threshold: float = 0.5,
@@ -153,16 +153,8 @@ def format_table(reports) -> str:
 def write_report(reports, path: str) -> None:
     """One record per line; atomic replace so readers never see a torn file."""
     text = "".join(r.line() + "\n" for r in reports)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_write(path, ".report-") as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def parse_report(path: str):
@@ -184,13 +176,5 @@ def parse_report(path: str):
             missing = set(field_types) - set(rec)
             if missing:
                 raise ContractError(f"{path}:{lineno}: missing fields {sorted(missing)}")
-            reports.append(MetricsReport(
-                name=rec["name"],
-                mae=float(rec["mae"]),
-                f_measure=float(rec["f_measure"]),
-                e_measure=float(rec["e_measure"]),
-                iou=float(rec["iou"]),
-                threshold=float(rec["threshold"]),
-                samples=int(rec["samples"]),
-            ))
+            reports.append(MetricsReport(**{k: field_types[k](v) for k, v in rec.items()}))
     return reports

@@ -9,11 +9,9 @@ colors round-trip exactly when they sit on the uint8 grid.
 
 from __future__ import annotations
 
-import os
-import tempfile
-
 import numpy as np
 
+from ._files import atomic_write
 from .pointcloud import PointCloud, normalize_cloud
 
 
@@ -137,14 +135,10 @@ def parse_ply(path: str) -> PointCloud:
         blob = fh.read()
     fmt, elements, body = _read_header(blob, path)
 
-    vertex = None
-    for i, (name, count, props) in enumerate(elements):
-        if name == "vertex":
-            vertex = (i, count, props)
-            break
-    if vertex is None:
+    vidx = next((i for i, (name, _, _) in enumerate(elements) if name == "vertex"), None)
+    if vidx is None:
         raise PlyParseError(f"{path}: no vertex element")
-    vidx, vcount, vprops = vertex
+    _, vcount, vprops = elements[vidx]
     if vcount < 1:
         raise PlyParseError(f"{path}: vertex element is empty")
 
@@ -168,10 +162,17 @@ def parse_ply(path: str) -> PointCloud:
         raise PlyParseError(f"{path}: label must be uchar")
 
     dtype = _vertex_dtype(vprops, path)
+    # Elements before vertex are skipped: by row in ascii, by byte in binary.
+    skip_rows = skip_bytes = 0
+    for name, count, props in elements[:vidx]:
+        if any(code is None for _, code in props):
+            raise PlyParseError(f"{path}: cannot skip list-typed element {name!r}")
+        skip_rows += count
+        skip_bytes += count * sum(np.dtype("<" + code).itemsize for _, code in props)
     if fmt == "ascii":
-        rows = _ascii_rows(body, elements, vidx, vcount, dtype, path)
+        rows = _ascii_rows(body, skip_rows, vcount, dtype, path)
     else:
-        rows = _binary_rows(body, elements, vidx, vcount, dtype, path)
+        rows = _binary_rows(body, skip_bytes, vcount, dtype, path)
 
     coords = np.column_stack([rows[a].astype(np.float64) for a in ("x", "y", "z")])
     colors = None
@@ -182,19 +183,13 @@ def parse_ply(path: str) -> PointCloud:
     return normalize_cloud(coords, colors, labels)
 
 
-def _ascii_rows(body: bytes, elements, vidx: int, vcount: int,
-                dtype: np.dtype, path: str) -> np.ndarray:
+def _ascii_rows(body: bytes, skip: int, vcount: int, dtype: np.dtype,
+                path: str) -> np.ndarray:
     try:
         text = body.decode("ascii")
     except UnicodeDecodeError as e:
         raise PlyParseError(f"{path}: non-ASCII body in ascii file") from e
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    # Skip any elements declared before vertex.
-    skip = 0
-    for name, count, props in elements[:vidx]:
-        if any(code is None for _, code in props):
-            raise PlyParseError(f"{path}: cannot skip list-typed element {name!r}")
-        skip += count
     if len(lines) < skip + vcount:
         raise PlyParseError(
             f"{path}: expected {skip + vcount} data rows, found {len(lines)}")
@@ -215,14 +210,8 @@ def _ascii_rows(body: bytes, elements, vidx: int, vcount: int,
     return out
 
 
-def _binary_rows(body: bytes, elements, vidx: int, vcount: int,
-                 dtype: np.dtype, path: str) -> np.ndarray:
-    offset = 0
-    for name, count, props in elements[:vidx]:
-        if any(code is None for _, code in props):
-            raise PlyParseError(f"{path}: cannot skip list-typed element {name!r}")
-        row = sum(np.dtype("<" + code).itemsize for _, code in props)
-        offset += row * count
+def _binary_rows(body: bytes, offset: int, vcount: int, dtype: np.dtype,
+                 path: str) -> np.ndarray:
     need = offset + dtype.itemsize * vcount
     if len(body) < need:
         raise PlyParseError(
@@ -269,19 +258,11 @@ def write_ply(cloud: PointCloud, path: str, probabilities=None,
         header.append(f"property {type_names[code]} {name}")
     header.append("end_header")
 
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ply-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(("\n".join(header) + "\n").encode("ascii"))
-            if binary:
-                fh.write(rows.tobytes())
-            else:
-                np.savetxt(fh, np.column_stack([rows[name].astype(np.float64)
-                                                for name, _ in fields]),
-                           fmt=["%.17g" if code == "<f8" else "%d" for _, code in fields])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_write(path, ".ply-") as fh:
+        fh.write(("\n".join(header) + "\n").encode("ascii"))
+        if binary:
+            fh.write(rows.tobytes())
+        else:
+            np.savetxt(fh, np.column_stack([rows[name].astype(np.float64)
+                                            for name, _ in fields]),
+                       fmt=["%.17g" if code == "<f8" else "%d" for _, code in fields])

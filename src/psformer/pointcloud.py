@@ -8,7 +8,7 @@ built from `coords` by `PSFormer.build_geometry`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,15 +30,6 @@ class PointCloud:
     def features9(self) -> np.ndarray:
         """The 9 per-point input channels: xyz, rgb, normalized xyz."""
         return np.concatenate([self.coords, self.colors, self.norm_coords], axis=1)
-
-    def permuted(self, perm: np.ndarray) -> "PointCloud":
-        return replace(
-            self,
-            coords=self.coords[perm],
-            colors=self.colors[perm],
-            norm_coords=self.norm_coords[perm],
-            labels=None if self.labels is None else self.labels[perm],
-        )
 
 
 def normalize_cloud(coords: np.ndarray, colors: np.ndarray | None = None,

@@ -5,6 +5,8 @@ references; backward passes are spot-checked against closed forms and the
 finite-difference checker.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -331,6 +333,29 @@ def test_no_grad_builds_no_graph():
     assert np.all(x.grad == 2.0)
     with pytest.raises(ContractError):
         backward(z * Tensor(np.ones(2)))   # non-scalar loss
+
+
+def test_no_grad_is_confined_to_its_thread():
+    # a worker thread builds and differentiates a graph while the main
+    # thread sits inside no_grad(); neither scope leaks into the other
+    x = Tensor(np.ones(3), requires_grad=True)
+    seen = {}
+
+    def worker():
+        y = (x * 3.0).sum()
+        seen["parents"] = len(y._parents)
+        backward(y)
+
+    with no_grad():
+        t = threading.Thread(target=worker)
+        t.start()
+        t.join(timeout=30)
+        inside = (x * 2.0).sum()
+    assert not t.is_alive()
+    assert seen["parents"] == 1
+    assert np.all(x.grad == 3.0)
+    assert inside._parents == ()
+    assert (x * 2.0).sum()._parents != ()
 
 
 def test_grad_check_passes_on_composite():

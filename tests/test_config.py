@@ -184,3 +184,127 @@ def test_ablated_unknown_flag():
 
 def test_ablation_flag_list_is_stable():
     assert ABLATION_FLAGS == ("fn", "psi_pre", "psi_post", "ut", "mca")
+
+
+# ------------------------------------------------------- pinned text format
+# Every checkpoint stores its config as this text, so a change to it breaks
+# reading older checkpoints.
+
+TINY_TEXT = (
+    "level1.m=16\n"
+    "level1.radius=0.3\n"
+    "level1.k=4\n"
+    "level1.d_out=6\n"
+    "level2.m=12\n"
+    "level2.radius=0.5\n"
+    "level2.k=4\n"
+    "level2.d_out=8\n"
+    "level3.m=10\n"
+    "level3.radius=0.7\n"
+    "level3.k=4\n"
+    "level3.d_out=10\n"
+    "level4.m=8\n"
+    "level4.radius=1.0\n"
+    "level4.k=4\n"
+    "level4.d_out=12\n"
+    "level5.m=6\n"
+    "level5.radius=1.5\n"
+    "level5.k=4\n"
+    "level5.d_out=14\n"
+    "model.compress_dim=4\n"
+    "model.fn_eps=1e-05\n"
+    "model.threshold=0.5\n"
+    "model.adaptive_threshold=false\n"
+    "model.use_fn=true\n"
+    "model.use_psi_pre=true\n"
+    "model.use_psi_post=true\n"
+    "model.use_ut=true\n"
+    "model.use_mca=true\n"
+    "model.seed=0\n"
+    "optim.lr=0.0005\n"
+    "optim.beta1=0.9\n"
+    "optim.beta2=0.999\n"
+    "optim.eps=1e-08\n"
+    "optim.batch_size=4\n"
+    "data.patch_size=64\n"
+    "data.scene_points=64\n"
+    "data.train_scenes=2\n"
+    "data.test_scenes=2\n"
+    "data.regime=default\n"
+    "data.seed=0\n"
+    "data.dir=\n"
+    "train.epochs=5\n"
+    "train.checkpoint_every=0\n"
+    "train.eval_every=10\n"
+    "train.target_iou=0.0\n"
+    "train.target_mae=1.0\n"
+)
+
+DESK_OVERRIDDEN_TEXT = (
+    "level1.m=256\n"
+    "level1.radius=0.1\n"
+    "level1.k=8\n"
+    "level1.d_out=32\n"
+    "level2.m=100\n"
+    "level2.radius=0.2\n"
+    "level2.k=8\n"
+    "level2.d_out=48\n"
+    "level3.m=64\n"
+    "level3.radius=0.4\n"
+    "level3.k=8\n"
+    "level3.d_out=64\n"
+    "level4.m=32\n"
+    "level4.radius=0.8\n"
+    "level4.k=8\n"
+    "level4.d_out=96\n"
+    "level5.m=16\n"
+    "level5.radius=2.25\n"
+    "level5.k=8\n"
+    "level5.d_out=128\n"
+    "model.compress_dim=8\n"
+    "model.fn_eps=1e-05\n"
+    "model.threshold=0.5\n"
+    "model.adaptive_threshold=false\n"
+    "model.use_fn=false\n"
+    "model.use_psi_pre=true\n"
+    "model.use_psi_post=true\n"
+    "model.use_ut=true\n"
+    "model.use_mca=true\n"
+    "model.seed=0\n"
+    "optim.lr=0.001\n"
+    "optim.beta1=0.9\n"
+    "optim.beta2=0.999\n"
+    "optim.eps=1e-08\n"
+    "optim.batch_size=4\n"
+    "data.patch_size=512\n"
+    "data.scene_points=512\n"
+    "data.train_scenes=8\n"
+    "data.test_scenes=32\n"
+    "data.regime=multi\n"
+    "data.seed=0\n"
+    "data.dir=\n"
+    "train.epochs=50\n"
+    "train.checkpoint_every=0\n"
+    "train.eval_every=5\n"
+    "train.target_iou=0.95\n"
+    "train.target_mae=0.05\n"
+)
+
+
+def test_tiny_serializes_to_pinned_text():
+    assert serialize_config(ModelConfig.tiny()) == TINY_TEXT
+    assert parse_config(TINY_TEXT) == ModelConfig.tiny()
+
+
+def test_overridden_ablated_desk_serializes_to_pinned_text():
+    cfg = parse_config(
+        "preset=desk\n"
+        "level2.m=100\n"
+        "level5.radius=2.25\n"
+        "model.compress_dim=8\n"
+        "optim.lr=0.001\n"
+        "data.regime=multi\n"
+        "train.epochs=50\n"
+    ).ablated(["fn"])
+    assert serialize_config(cfg) == DESK_OVERRIDDEN_TEXT
+    assert parse_config(DESK_OVERRIDDEN_TEXT) == cfg

@@ -78,7 +78,8 @@ def test_point_order_equivariance():
     rng = np.random.default_rng(11)
     for _ in range(3):
         perm = rng.permutation(scene.n)
-        shuffled = model.forward(scene.permuted(perm))
+        shuffled = model.forward(normalize_cloud(scene.coords[perm], scene.colors[perm],
+                                                 scene.labels[perm]))
         assert np.allclose(shuffled.probabilities, base.probabilities[perm],
                            rtol=0, atol=1e-12)
 

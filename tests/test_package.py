@@ -50,3 +50,24 @@ def test_no_unused_imports():
     assert len(paths) > 20
     unused = {os.path.relpath(p, ROOT): u for p in paths if (u := _unused_imports(p))}
     assert not unused
+
+
+def _file_replacing_names(path: str) -> set:
+    """Which of tempfile.mkstemp and os.replace `path` reads or imports."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names & {"tempfile.mkstemp", "os.replace"}
+
+
+def test_files_are_replaced_only_by_atomic_write():
+    # checkpoints, PLY files and reports share one temp-file-and-rename path
+    found = {os.path.basename(p): names
+             for p in glob.glob(os.path.join(ROOT, "src", "psformer", "*.py"))
+             if (names := _file_replacing_names(p))}
+    assert found == {"_files.py": {"tempfile.mkstemp", "os.replace"}}

@@ -100,19 +100,6 @@ def test_features9_layout():
     assert np.array_equal(f[:, 6:], cloud.norm_coords)
 
 
-def test_permuted_cloud_reorders_everything():
-    rng = np.random.default_rng(3)
-    cloud = normalize_cloud(rng.uniform(0, 1, (10, 3)),
-                            rng.uniform(0, 1, (10, 3)),
-                            rng.integers(0, 2, 10))
-    perm = rng.permutation(10)
-    p = cloud.permuted(perm)
-    assert np.array_equal(p.coords, cloud.coords[perm])
-    assert np.array_equal(p.colors, cloud.colors[perm])
-    assert np.array_equal(p.labels, cloud.labels[perm])
-    assert p.extent == cloud.extent
-
-
 def test_farthest_point_sample_contracts():
     # m < 1 is refused by config validation (test_validation_positive_fields)
     coords = np.random.default_rng(4).uniform(0, 1, (9, 3))
