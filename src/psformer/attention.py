@@ -29,21 +29,17 @@ BLOCK_LOGITS = 1 << 21
 
 @dataclass
 class TransParams:
-    w_q: Tensor   # (d_in, d)
-    w_k: Tensor   # (d_in, d)
-    w_v: Tensor   # (d_in, d)
+    w_q: Tensor   # (d, d)
+    w_k: Tensor   # (d, d)
+    w_v: Tensor   # (d, d)
     ffn_w1: Tensor  # (d, 2d)
     ffn_b1: Tensor  # (2d,)
-    ffn_w2: Tensor  # (2d, d_in)
-    ffn_b2: Tensor  # (d_in,)
+    ffn_w2: Tensor  # (2d, d)
+    ffn_b2: Tensor  # (d,)
 
     @property
     def d_in(self) -> int:
         return self.w_q.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.w_q.shape[1]
 
     def named(self, prefix: str) -> dict:
         return {
@@ -58,24 +54,23 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
     return Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)), requires_grad=True)
 
 
-def init_trans(rng: np.random.Generator, d_in: int, d: int | None = None) -> TransParams:
-    """Fresh parameters; key/value width d defaults to d_in.
+def init_trans(rng: np.random.Generator, d: int) -> TransParams:
+    """Fresh parameters of a block on width-d features; queries, keys and
+    values are d wide too.
 
     The hidden bias starts slightly off zero: normalized group features place
     each centroid's own entry exactly at the beta vector, and with beta and
     ffn_b1 both zero the hidden ReLU would sit exactly on its kink, where
     finite-difference gradient checks are ill-defined.
     """
-    if d is None:
-        d = d_in
     return TransParams(
-        w_q=glorot(rng, d_in, d),
-        w_k=glorot(rng, d_in, d),
-        w_v=glorot(rng, d_in, d),
+        w_q=glorot(rng, d, d),
+        w_k=glorot(rng, d, d),
+        w_v=glorot(rng, d, d),
         ffn_w1=glorot(rng, d, 2 * d),
         ffn_b1=Tensor(rng.uniform(-0.1, 0.1, size=2 * d), requires_grad=True),
-        ffn_w2=glorot(rng, 2 * d, d_in),
-        ffn_b2=Tensor(np.zeros(d_in), requires_grad=True),
+        ffn_w2=glorot(rng, 2 * d, d),
+        ffn_b2=Tensor(np.zeros(d), requires_grad=True),
     )
 
 

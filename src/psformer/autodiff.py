@@ -93,10 +93,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, as_tensor(other))
 
-    @property
-    def mT(self) -> "Tensor":
-        return swap_last(self)
-
     def reshape(self, *shape) -> "Tensor":
         return reshape(self, shape)
 
@@ -222,21 +218,9 @@ def sigmoid_data(x: np.ndarray) -> np.ndarray:
 
 
 def softmax_data(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-shifted softmax of a plain array, the forward of softmax()."""
+    """Max-shifted softmax of a plain array along `axis`."""
     e = np.exp(x - x.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    data = softmax_data(a.data, axis)
-
-    def backward_fn(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        _accum(a, (g - dot) * data)
-
-    return _make(data, (a,), backward_fn, "softmax")
 
 
 # shape ops -------------------------------------------------------------
@@ -261,17 +245,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 _accum(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _make(data, (a, b), backward_fn, "matmul")
-
-
-def swap_last(a: Tensor) -> Tensor:
-    if a.ndim < 2:
-        raise ShapeError(f"mT needs ndim >= 2, got shape {a.shape}")
-    data = np.swapaxes(a.data, -1, -2)
-
-    def backward_fn(g):
-        _accum(a, np.swapaxes(g, -1, -2))
-
-    return _make(data, (a,), backward_fn, "mT")
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -353,19 +326,6 @@ def group_max_pool(a: Tensor, valid_counts) -> Tensor:
         _accum(a, ga)
 
     return _make(data, (a,), backward_fn, "group_max_pool")
-
-
-def column_max(a: Tensor) -> Tensor:
-    """Channelwise max over axis 0 of an (S, d) tensor."""
-    data = a.data.max(axis=0)
-    winners = a.data.argmax(axis=0)
-
-    def backward_fn(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, (winners, np.arange(a.shape[1])), g)
-        _accum(a, ga)
-
-    return _make(data, (a,), backward_fn, "column_max")
 
 
 # fused / structured ops ------------------------------------------------

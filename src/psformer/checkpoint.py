@@ -104,6 +104,4 @@ def load_checkpoint(path: str):
 def model_from_checkpoint(path: str):
     """Rebuild the model stored at path; returns (model, optim_state, step)."""
     config, arrays, optim_state, step = load_checkpoint(path)
-    model = PSFormer(config)
-    model.load_parameters(arrays)
-    return model, optim_state, step
+    return PSFormer(config, weights=arrays), optim_state, step

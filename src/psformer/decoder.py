@@ -20,9 +20,9 @@ from .autodiff import (
     ContractError,
     ShapeError,
     Tensor,
-    column_max,
     concat,
     gather_rows,
+    group_max_pool,
     interp_apply,
     relu,
     sigmoid_data,
@@ -149,15 +149,16 @@ def decode(levels, features9: Tensor, params: DecoderParams,
 
 def mca(levels, params: MCAParams) -> Tensor:
     """Per level: one linear + ReLU to the shared compress width, channelwise
-    max over that level's points; concatenate the five vectors in level order
-    into the (5 * compress_dim,) scene context."""
+    max over that level's points, pooled as one group of all of them;
+    concatenate the five vectors in level order into the (5 * compress_dim,)
+    scene context."""
     if len(levels) != len(params.w):
         raise ContractError(f"mca: {len(levels)} levels but {len(params.w)} MLPs")
     pieces = []
     for level, w, b in zip(levels, params.w, params.b):
         h = relu(level @ w + b)
-        pieces.append(column_max(h))
-    return concat(pieces, axis=0)
+        pieces.append(group_max_pool(h.reshape(1, *h.shape), [h.shape[0]]))
+    return concat(pieces, axis=-1).reshape(-1)
 
 
 def predict_head(point_features: Tensor, context: Tensor | None,

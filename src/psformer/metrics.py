@@ -26,24 +26,25 @@ def check_threshold(threshold: float) -> None:
         raise ContractError(f"threshold must be in (0,1), got {threshold}")
 
 
-def _mask_pair(probabilities, labels, threshold: float):
+def _flat_pair(probabilities, labels):
+    """One view's probabilities and labels as equally long float64 vectors."""
     p = np.asarray(probabilities, dtype=np.float64).reshape(-1)
-    g = np.asarray(labels, dtype=bool).reshape(-1)
+    g = np.asarray(labels, dtype=np.float64).reshape(-1)
     if p.size == 0:
         raise ContractError("metrics need at least one point")
     if p.size != g.size:
         raise ContractError(f"length mismatch: {p.size} probabilities, {g.size} labels")
+    return p, g
+
+
+def _mask_pair(probabilities, labels, threshold: float):
+    p, g = _flat_pair(probabilities, labels)
     check_threshold(threshold)
-    return p > threshold, g
+    return p > threshold, g.astype(bool)
 
 
 def mae(probabilities, labels) -> float:
-    p = np.asarray(probabilities, dtype=np.float64).reshape(-1)
-    g = np.asarray(labels, dtype=np.float64).reshape(-1)
-    if p.size == 0:
-        raise ContractError("mae needs at least one point")
-    if p.size != g.size:
-        raise ContractError(f"length mismatch: {p.size} probabilities, {g.size} labels")
+    p, g = _flat_pair(probabilities, labels)
     return float(np.mean(np.abs(p - g)))
 
 
@@ -172,9 +173,13 @@ def parse_report(path: str):
                 key, val = token.split("=", 1)
                 if key not in field_types:
                     raise ContractError(f"{path}:{lineno}: unknown field {key!r}")
-                rec[key] = val
+                try:
+                    rec[key] = field_types[key](val)
+                except ValueError:
+                    raise ContractError(
+                        f"{path}:{lineno}: field {key!r} has bad value {val!r}") from None
             missing = set(field_types) - set(rec)
             if missing:
                 raise ContractError(f"{path}:{lineno}: missing fields {sorted(missing)}")
-            reports.append(MetricsReport(**{k: field_types[k](v) for k, v in rec.items()}))
+            reports.append(MetricsReport(**rec))
     return reports

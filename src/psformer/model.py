@@ -35,15 +35,29 @@ class ModelGeometry:
     interp: list            # N_LEVELS (indices, weights) pairs, coarsest first
 
 
+class _NoDraw:
+    """The generator's stand-in when weights are given: shapes, no draws."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.empty(size)
+
+
 class PSFormer:
     """Parameter container plus forward pass. Parameters exist only for
-    enabled stages, so ablated variants have genuinely smaller models."""
+    enabled stages, so ablated variants have genuinely smaller models.
+    Weights are drawn from `seed` (default: the config's), or copied from
+    `weights`, a name -> array map as `parameters()` names them."""
 
-    def __init__(self, config: ModelConfig, seed: int | None = None):
+    def __init__(self, config: ModelConfig, seed: int | None = None,
+                 weights: dict | None = None):
         config.validate()
         self.config = config
         m = config.model
-        rng = np.random.default_rng(m.seed if seed is None else seed)
+        if weights is not None and seed is not None:
+            raise ContractError("PSFormer takes a seed or weights, not both")
+        rng = (np.random.default_rng(m.seed if seed is None else seed)
+               if weights is None else _NoDraw())
 
         widths = config.level_widths
         d_in = 9
@@ -66,6 +80,20 @@ class PSFormer:
         self.mca_params = init_mca(rng, widths, m.compress_dim) if m.use_mca else None
         head_in = d_dec + (config.context_width if m.use_mca else 0)
         self.head_params = init_head(rng, head_in, d_dec)
+        if weights is None:
+            return
+        params = self.parameters()
+        missing = sorted(set(params) - set(weights))
+        extra = sorted(set(weights) - set(params))
+        if missing or extra:
+            raise ContractError(
+                f"parameter set mismatch: missing {missing}, unexpected {extra}")
+        for name, p in params.items():
+            arr = np.asarray(weights[name], dtype=np.float64)
+            if arr.shape != p.data.shape:
+                raise ContractError(
+                    f"parameter {name}: shape {arr.shape} != expected {p.data.shape}")
+            p.data = arr.copy()
 
     # parameters ---------------------------------------------------------
 
@@ -79,20 +107,6 @@ class PSFormer:
             out.update(self.mca_params.named())
         out.update(self.head_params.named())
         return out
-
-    def load_parameters(self, arrays: dict) -> None:
-        params = self.parameters()
-        missing = sorted(set(params) - set(arrays))
-        extra = sorted(set(arrays) - set(params))
-        if missing or extra:
-            raise ContractError(
-                f"parameter set mismatch: missing {missing}, unexpected {extra}")
-        for name, p in params.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != p.data.shape:
-                raise ContractError(
-                    f"parameter {name}: shape {arr.shape} != expected {p.data.shape}")
-            p.data = arr.copy()
 
     # geometry -----------------------------------------------------------
 

@@ -9,7 +9,8 @@ import pytest
 from psformer import attention
 from psformer.attention import (attend, ffn, glorot, init_trans, project_qkv,
                                 trans_block)
-from psformer.autodiff import ShapeError, Tensor, backward, grad_check, softmax
+from psformer.autodiff import ShapeError, Tensor, backward, grad_check
+from unfused_ops import softmax, swap_last
 
 mp.mp.dps = 50
 
@@ -53,7 +54,7 @@ def test_attention_rows_sum_to_one():
         s, d = int(rng.integers(1, 8)), int(rng.integers(1, 6))
         q = Tensor(rng.standard_normal((s, d)))
         k = Tensor(rng.standard_normal((s, d)))
-        logits = (q @ k.mT) * Tensor(1.0 / math.sqrt(d))
+        logits = (q @ swap_last(k)) * Tensor(1.0 / math.sqrt(d))
         rows = softmax(logits, axis=-1).data.sum(axis=-1)
         assert np.all(np.abs(rows - 1.0) <= 1e-12)
 
@@ -115,10 +116,10 @@ def test_residual_passthrough_with_zero_ffn():
 
 def test_project_qkv_shapes_and_errors():
     rng = np.random.default_rng(7)
-    params = init_trans(rng, 6, d=2)
+    params = init_trans(rng, 6)
     q, k, v = project_qkv(Tensor(np.zeros((4, 6))), params)
-    assert q.shape == k.shape == v.shape == (4, 2)
-    assert params.d_in == 6 and params.d == 2
+    assert q.shape == k.shape == v.shape == (4, 6)
+    assert params.d_in == 6
     with pytest.raises(ShapeError):
         project_qkv(Tensor(np.zeros((4, 5))), params)
 
@@ -140,7 +141,7 @@ def test_glorot_bounds():
 
 def test_trans_block_grad_check():
     rng = np.random.default_rng(10)
-    params = init_trans(rng, 3, d=2)
+    params = init_trans(rng, 3)
     f = rng.standard_normal((4, 3))
 
     def objective():
@@ -175,7 +176,7 @@ def _attend_with_grads(fn, q, k, v, g):
 
 def _composed_attend(q, k, v):
     """The unfused op graph attend replaces, as the reference."""
-    logits = (q @ k.mT) * Tensor(1.0 / math.sqrt(q.shape[-1]))
+    logits = (q @ swap_last(k)) * Tensor(1.0 / math.sqrt(q.shape[-1]))
     return softmax(logits, axis=-1) @ v
 
 

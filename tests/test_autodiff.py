@@ -12,9 +12,10 @@ import pytest
 
 from psformer.autodiff import (CheckReport, ContractError, ShapeError, Tensor,
                                _accum, _make, backward, bce_with_logits,
-                               column_max, concat, gather_rows, grad_check,
-                               group_max_pool, interp_apply, matmul, no_grad,
-                               relu, sigmoid_data, softmax, sqrt, tmean, tsum)
+                               concat, gather_rows, grad_check, group_max_pool,
+                               interp_apply, matmul, no_grad, relu,
+                               sigmoid_data, softmax_data, sqrt, tmean, tsum)
+from unfused_ops import swap_last
 
 
 def _matmul_loops(a, b):
@@ -88,7 +89,7 @@ def test_matmul_shape_error():
 
 def test_softmax_matches_extended_precision():
     # reference computed at 50 decimal digits
-    got = softmax(Tensor([0.3, -1.2, 2.0])).data
+    got = softmax_data(np.array([0.3, -1.2, 2.0]))
     want = np.array([0.14931886218339119035,
                      0.033317541632161398817,
                      0.81736359618444741083])
@@ -99,7 +100,7 @@ def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(3)
     for _ in range(100):
         x = rng.standard_normal((4, 7)) * rng.uniform(0.1, 30)
-        s = softmax(Tensor(x)).data
+        s = softmax_data(x)
         assert np.all(np.abs(s.sum(axis=-1) - 1.0) <= 1e-12)
         assert np.all(s >= 0)
 
@@ -107,13 +108,13 @@ def test_softmax_rows_sum_to_one():
 def test_softmax_shift_invariance():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((5, 6))
-    a = softmax(Tensor(x)).data
-    b = softmax(Tensor(x + 123.456)).data
+    a = softmax_data(x)
+    b = softmax_data(x + 123.456)
     assert np.allclose(a, b, atol=1e-14, rtol=0)
 
 
 def test_softmax_extreme_logits_finite():
-    s = softmax(Tensor([1000.0, 0.0, -1000.0])).data
+    s = softmax_data(np.array([1000.0, 0.0, -1000.0]))
     assert np.all(np.isfinite(s))
     assert abs(s.sum() - 1.0) <= 1e-12
     assert s[0] > 0.999
@@ -270,13 +271,13 @@ def test_group_max_pool_padding_invariance():
         assert np.array_equal(base, again)
 
 
-def test_column_max_forward_backward():
-    x = Tensor([[1.0, 4.0], [3.0, 2.0], [3.0, 0.0]], requires_grad=True)
-    out = column_max(x)
-    assert np.array_equal(out.data, [3.0, 4.0])
+def test_group_max_pool_full_count_tie_goes_to_first_member():
+    x = Tensor([[[1.0, 4.0], [3.0, 2.0], [3.0, 0.0]]], requires_grad=True)
+    out = group_max_pool(x, [3])
+    assert np.array_equal(out.data, [[3.0, 4.0]])
     backward(out.sum())
-    # tie in column 0: first row at the max gets the gradient
-    assert np.array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+    # tie in channel 0: the first member at the max gets the gradient
+    assert np.array_equal(x.grad, [[[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]])
 
 
 def test_interp_apply_forward_oracle():
@@ -307,7 +308,7 @@ def test_concat_reshape_swap_last_roundtrip_grads():
     b = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
     out = concat([a, b], axis=-1)
     assert out.shape == (2, 7)
-    backward((out.mT.reshape(14) * Tensor(np.arange(14.0))).sum())
+    backward((swap_last(out).reshape(14) * Tensor(np.arange(14.0))).sum())
     assert a.grad.shape == (2, 3) and b.grad.shape == (2, 4)
     with pytest.raises(ShapeError):
         concat([a, Tensor(np.zeros((3, 4)))], axis=-1)

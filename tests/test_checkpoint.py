@@ -57,6 +57,30 @@ def test_logits_round_trip_bit_exact(tmp_path):
     assert np.array_equal(before.probabilities, after.probabilities)
 
 
+def test_load_draws_no_random_numbers(tmp_path, monkeypatch):
+    model = _tiny_model(seed=2)
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, model)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a checkpoint load drew random weights")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    clone, _, _ = model_from_checkpoint(path)
+    assert set(clone.parameters()) == set(model.parameters())
+
+
+def test_loaded_parameters_are_bit_exact_and_writable(tmp_path):
+    model = _tiny_model(seed=4)
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, model)
+    saved = model.parameters()
+    for name, p in model_from_checkpoint(path)[0].parameters().items():
+        assert p.data.dtype == np.float64
+        assert p.data.tobytes() == saved[name].data.tobytes(), name
+        assert p.data.flags.writeable, name
+
+
 def test_optimizer_state_round_trip(tmp_path):
     model = _tiny_model(seed=2)
     scenes = make_scenes(model.config.data, 1, seed0=4)

@@ -240,6 +240,18 @@ def test_parse_report_errors(tmp_path):
         parse_report(str(bad))
 
 
+def test_parse_report_names_the_line_and_field_of_a_bad_value(tmp_path):
+    good = MetricsReport("full", 0.25, 0.5, 0.75, 1.0, 0.5, 3).line()
+    bad = tmp_path / "bad.txt"
+    for field, value in (("mae", "abc"), ("samples", "1.5")):
+        line = " ".join(f"{field}={value}" if tok.startswith(field + "=") else tok
+                        for tok in good.split())
+        bad.write_text(good + "\n" + line + "\n")
+        with pytest.raises(ContractError,
+                           match=f"bad.txt:2: field '{field}' has bad value '{value}'"):
+            parse_report(str(bad))
+
+
 def test_format_table_layout():
     a = MetricsReport("full", 0.0184, 0.99, 0.98, 0.9754, 0.5, 3)
     b = MetricsReport("no_fn", 0.05, 0.9, 0.9, 0.9, 0.5, 3)

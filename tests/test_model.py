@@ -136,28 +136,30 @@ def test_seed_controls_init():
     assert all(np.array_equal(c[n].data, d[n].data) for n in c)
 
 
-def test_load_parameters_validates():
-    model = PSFormer(_tiny(), seed=0)
-    good = {n: p.data.copy() for n, p in model.parameters().items()}
+def test_weights_argument_validates():
+    cfg = _tiny()
+    good = {n: p.data.copy() for n, p in PSFormer(cfg, seed=0).parameters().items()}
     some = next(iter(good))
 
     incomplete = dict(good)
     del incomplete[some]
     with pytest.raises(ContractError, match="missing"):
-        model.load_parameters(incomplete)
+        PSFormer(cfg, weights=incomplete)
 
     extra = dict(good)
     extra["bogus.w"] = np.zeros(3)
     with pytest.raises(ContractError, match="unexpected"):
-        model.load_parameters(extra)
+        PSFormer(cfg, weights=extra)
 
     warped = dict(good)
     warped[some] = np.zeros(good[some].shape + (2,))
     with pytest.raises(ContractError, match="shape"):
-        model.load_parameters(warped)
+        PSFormer(cfg, weights=warped)
 
-    model.load_parameters(good)          # round trip still fine
-    loaded = model.parameters()[some]
+    with pytest.raises(ContractError, match="seed or weights"):
+        PSFormer(cfg, seed=0, weights=good)
+
+    loaded = PSFormer(cfg, weights=good).parameters()[some]
     assert np.array_equal(loaded.data, good[some])
     assert loaded.data is not good[some]  # defensive copy
 

@@ -71,3 +71,34 @@ def test_files_are_replaced_only_by_atomic_write():
              for p in glob.glob(os.path.join(ROOT, "src", "psformer", "*.py"))
              if (names := _file_replacing_names(p))}
     assert found == {"_files.py": {"tempfile.mkstemp", "os.replace"}}
+
+
+def _referenced_names(tree: ast.AST, skip: str = "") -> set:
+    """Every name `tree` reads, imports or looks up as an attribute, outside
+    the top-level definition called `skip`."""
+    names = set()
+    for top in tree.body:
+        if getattr(top, "name", None) == skip:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_every_autodiff_definition_is_used_in_src():
+    # operators that only tests call belong in the tests
+    trees = {}
+    for path in glob.glob(os.path.join(ROOT, "src", "psformer", "*.py")):
+        with open(path) as fh:
+            trees[os.path.basename(path)] = ast.parse(fh.read(), path)
+    defs = [node.name for node in trees["autodiff.py"].body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    unused = [name for name in defs
+              if not any(name in _referenced_names(tree, skip=name)
+                         for tree in trees.values())]
+    assert not unused

@@ -70,7 +70,8 @@ def test_saliency_round_trip_and_heat_colors(tmp_path):
     assert np.array_equal(np.round(back.colors[2] * 255.0), [128, 0, 128])
 
     # the saliency column itself survives bit-exactly
-    raw = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     assert b"property double saliency" in raw
     body = raw.split(b"end_header\n", 1)[1]
     dtype = np.dtype([("x", "<f8"), ("y", "<f8"), ("z", "<f8"),
@@ -86,7 +87,8 @@ def test_ascii_saliency_survives_17g(tmp_path):
     probs = rng.uniform(0, 1, 6)
     path = str(tmp_path / "s.ply")
     write_ply(cloud, path, probabilities=probs, binary=False)
-    text = open(path).read()
+    with open(path) as fh:
+        text = fh.read()
     tail = [float(line.split()[-1]) for line in
             text.split("end_header\n", 1)[1].strip().splitlines()]
     assert np.array_equal(np.array(tail), probs)
@@ -103,7 +105,11 @@ def test_ascii_body_text_is_pinned(tmp_path):
     plain, heat = str(tmp_path / "plain.ply"), str(tmp_path / "heat.ply")
     write_ply(cloud, plain)
     write_ply(cloud, heat, probabilities=np.array([0.1, 1.0, 1e-300]))
-    body = lambda path: open(path).read().split("end_header\n", 1)[1]
+
+    def body(path):
+        with open(path) as fh:
+            return fh.read().split("end_header\n", 1)[1]
+
     assert body(plain) == (
         "0.10000000000000001 1e-300 1 0 0 0 1\n"
         "-0 0.66666666666666663 -123456.789 255 255 255 0\n"

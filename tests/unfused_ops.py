@@ -1,0 +1,28 @@
+"""The unfused op graph that attention.attend replaces, kept as the reference
+attend is checked against: softmax and a swap of the last two axes as
+separate autodiff nodes. The model itself never builds them."""
+
+import numpy as np
+
+from psformer.autodiff import ShapeError, Tensor, _accum, _make, softmax_data
+
+
+def swap_last(a: Tensor) -> Tensor:
+    if a.ndim < 2:
+        raise ShapeError(f"swap_last needs ndim >= 2, got shape {a.shape}")
+    data = np.swapaxes(a.data, -1, -2)
+
+    def backward_fn(g):
+        _accum(a, np.swapaxes(g, -1, -2))
+
+    return _make(data, (a,), backward_fn, "swap_last")
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    data = softmax_data(a.data, axis)
+
+    def backward_fn(g):
+        dot = (g * data).sum(axis=axis, keepdims=True)
+        _accum(a, (g - dot) * data)
+
+    return _make(data, (a,), backward_fn, "softmax")
