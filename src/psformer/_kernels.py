@@ -1,24 +1,19 @@
 """Neighbor-search kernels: farthest point sampling, ball query, 3-NN.
 
 All distance comparisons use squared distances, summed (dx*dx + dy*dy) + dz*dz.
-FPS breaks ties lexicographically by coordinates and then by index; ball
-query and 3-NN order candidates by (distance, index). Every selection is a
-total order, which keeps results stable under input permutation.
+Every selection is a total order, which keeps results stable under input
+permutation: ball query and 3-NN order candidates by (distance, index), FPS
+breaks ties lexicographically by coordinates and then by index.
 
-The kernels are plain numpy and get that order without sorting whole
-distance rows. Distances come in blocks of rows of at most BLOCK_PAIRS
-entries (`_d2_blocks`), so no (M, N) matrix is ever held. Within a block:
-
-- 3-NN takes argmin three times, setting each pick to inf. argmin returns the
-  first minimum, which is the lowest index among equal distances.
-- Ball query lists the in-radius pairs with flatnonzero, which yields them
-  in (row, index) order, and then sorts only those pairs: a stable sort by
-  distance, then a stable sort by row. Ties keep ascending index order.
-- FPS holds -inf for chosen points so argmax finds the first farthest
-  available point; a second argmax detects a tie, and only then are the tied
-  candidates sorted by coordinates.
-
-The block size changes only how much is computed at once, never the result.
+The kernels are plain numpy and have one selection rule: the first argmin or
+argmax over an order fixed up front. Ball query and 3-NN share one k-nearest
+search (`_nearest`), which takes argmin k times per block of distance rows
+and sets each pick to inf; argmin's first minimum is the lowest index among
+equal distances. FPS sorts the points by (x, y, z, index) once and runs on
+that order, so argmax's first maximum is the tie rule. Distances come in
+blocks of rows of at most BLOCK_PAIRS entries (`_d2_blocks`), so no (M, N)
+matrix is ever held. The block size changes only how much is computed at
+once, never the result.
 """
 
 from __future__ import annotations
@@ -27,13 +22,6 @@ import numpy as np
 
 # The one kernel backend, named in benchmark environment reports.
 ACTIVE_BACKEND = "numpy"
-
-
-def _lex_centroid(coords: np.ndarray) -> np.ndarray:
-    # Sum in lexicographic point order so the centroid is exactly
-    # permutation-invariant (summation order fixed).
-    order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
-    return coords[order].sum(axis=0) / coords.shape[0]
 
 
 # Most entries one block of a distance matrix may hold: 2^16 float64 values,
@@ -90,8 +78,13 @@ def fps_indices(coords: np.ndarray, m: int) -> np.ndarray:
     n = coords.shape[0]
     if m > n:
         raise ValueError(f"fps: cannot sample {m} of {n} points")
+    # lexsort is stable, so points run in (x, y, z, index) order: the first
+    # farthest point argmax finds is the one the tie rule picks. Summing in
+    # that order makes the centroid exactly permutation-invariant.
+    order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
+    pts = coords[order]
     out = np.empty(m, dtype=np.int64)
-    xyz = [np.ascontiguousarray(coords[:, c]) for c in range(3)]
+    xyz = [np.ascontiguousarray(pts[:, c]) for c in range(3)]
     dist = np.empty(n)
     new = np.empty(n)
     tmp = np.empty(n)
@@ -105,27 +98,40 @@ def fps_indices(coords: np.ndarray, m: int) -> np.ndarray:
             np.multiply(tmp, tmp, out=tmp)
             np.add(into, tmp, out=into)
 
-    sq_dist_to([float(v) for v in _lex_centroid(coords)], dist)
+    sq_dist_to((pts.sum(axis=0) / n).tolist(), dist)
     for t in range(m):
         # Chosen points hold -inf, so argmax finds the first farthest
-        # available point; a second argmax tells whether another one ties.
+        # available point.
         pick = int(dist.argmax())
-        best = dist[pick]
         dist[pick] = -np.inf
-        if dist[dist.argmax()] == best:
-            dist[pick] = best
-            cands = np.flatnonzero(dist == best)
-            sub = coords[cands]
-            pick = int(cands[np.lexsort((cands, sub[:, 2], sub[:, 1], sub[:, 0]))[0]])
-            dist[pick] = -np.inf
-        out[t] = pick
+        out[t] = order[pick]
         if t + 1 < m:
-            sq_dist_to(coords[pick].tolist(), new)
+            sq_dist_to(pts[pick].tolist(), new)
             np.minimum(dist, new, out=dist)
     return out
 
 
-# ball query ---------------------------------------------------------------
+# k nearest: ball query and 3-NN -------------------------------------------
+
+
+def _nearest(dst: np.ndarray, src: np.ndarray, k: int):
+    """Indices and squared distances of the min(k, len(src)) nearest sources
+    per destination, each row in (distance, index) order."""
+    kk = min(k, src.shape[0])
+    idx = np.empty((dst.shape[0], kk), dtype=np.int64)
+    dsel = np.empty((dst.shape[0], kk))
+    for lo, hi, d2 in _d2_blocks(dst, src):
+        rows = np.arange(hi - lo)
+        for s in range(kk):
+            # argmin returns the first minimum: (distance, index) order. A
+            # masked pick loses to every finite distance, and distances are
+            # finite for coordinates within about 1e153.
+            j = d2.argmin(axis=1)
+            idx[lo:hi, s] = j
+            dsel[lo:hi, s] = d2[rows, j]
+            if s + 1 < kk:
+                d2[rows, j] = np.inf
+    return idx, dsel
 
 
 def ball_query(coords: np.ndarray, centroid_idx: np.ndarray, radius: float, k: int):
@@ -135,31 +141,13 @@ def ball_query(coords: np.ndarray, centroid_idx: np.ndarray, radius: float, k: i
     coords = np.ascontiguousarray(coords, dtype=np.float64)
     centroid_idx = np.ascontiguousarray(centroid_idx, dtype=np.int64)
     k = int(k)
-    n = coords.shape[0]
-    r2 = float(radius) * float(radius)
-    idx = np.zeros((len(centroid_idx), k), dtype=np.int64)
-    counts = np.zeros(len(centroid_idx), dtype=np.int64)
-    for lo, hi, d2 in _d2_blocks(coords[centroid_idx], coords):
-        # In-radius pairs in (row, col) order, then two stable sorts: by
-        # distance (as int64 bits, which order non-negative floats), then by
-        # row (a radix sort on a small int type). Each row ends up in
-        # (distance, index) order, and `row`, already ascending, still lines
-        # up with the sorted pairs.
-        flat = np.flatnonzero(d2 <= r2)
-        row = flat // n
-        col = flat - row * n
-        order = np.argsort(d2.ravel()[flat].view(np.int64), kind="stable")
-        narrow = row.astype(np.min_scalar_type(hi - lo))[order]
-        col = col[order[np.argsort(narrow, kind="stable")]]
-        n_in = np.bincount(row, minlength=hi - lo)
-        start = np.cumsum(n_in) - n_in
-        rank = np.arange(row.size) - start[row]
-        keep = rank < k
-        blk = idx[lo:hi]
-        has = n_in > 0
-        blk[has] = col[start[has]][:, None]    # pad with the nearest entry
-        blk[row[keep], rank[keep]] = col[keep]
-        counts[lo:hi] = np.minimum(n_in, k)
+    near, d2 = _nearest(coords[centroid_idx], coords, k)
+    # the k nearest run in distance order, so the in-radius ones come first
+    inside = d2 <= float(radius) * float(radius)
+    counts = inside.sum(axis=1)
+    pad = np.where(counts > 0, near[:, 0], 0)[:, None]
+    idx = np.repeat(pad, k, axis=1)
+    idx[:, :near.shape[1]] = np.where(inside, near, pad)
     return idx, counts
 
 
@@ -174,20 +162,7 @@ def three_nn(dst: np.ndarray, src: np.ndarray):
     3 nearest sources per destination; a coincident source takes weight 1."""
     dst = np.ascontiguousarray(dst, dtype=np.float64)
     src = np.ascontiguousarray(src, dtype=np.float64)
-    kk = min(3, src.shape[0])
-    idx = np.empty((dst.shape[0], kk), dtype=np.int64)
-    dsel = np.empty((dst.shape[0], kk))
-    for lo, hi, d2 in _d2_blocks(dst, src):
-        rows = np.arange(hi - lo)
-        for s in range(kk):
-            # argmin returns the first minimum: (distance, index) order. A
-            # masked pick loses to every finite distance, and distances are
-            # finite for coordinates within about 1e153.
-            j = d2.argmin(axis=1)
-            idx[lo:hi, s] = j
-            dsel[lo:hi, s] = d2[rows, j]
-            if s + 1 < kk:
-                d2[rows, j] = np.inf
+    idx, dsel = _nearest(dst, src, 3)
     w = 1.0 / (dsel + _IDW_EPS)
     w = w / w.sum(axis=1, keepdims=True)
     hit = dsel[:, 0] < _COINCIDENT_D2
@@ -195,5 +170,3 @@ def three_nn(dst: np.ndarray, src: np.ndarray):
         w[hit] = 0.0
         w[hit, 0] = 1.0
     return idx, w
-
-

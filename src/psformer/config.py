@@ -184,6 +184,12 @@ class ModelConfig:
             raise ConfigError("model.fn_eps must be positive")
         if self.optim.lr <= 0:
             raise ConfigError("optim.lr must be positive")
+        for key in ("beta1", "beta2"):
+            value = getattr(self.optim, key)
+            if not 0.0 <= value < 1.0:
+                raise ConfigError(f"optim.{key} must be in [0,1), got {value}")
+        if not self.optim.eps > 0:
+            raise ConfigError(f"optim.eps must be positive, got {self.optim.eps}")
         if self.optim.batch_size < 1:
             raise ConfigError("optim.batch_size must be positive")
         if self.data.patch_size < self.levels[0].m:

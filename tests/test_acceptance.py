@@ -366,9 +366,9 @@ def test_io_round_trips(capsys, tmp_path):
         (back_r,) = parse_report(rpath)
         report_ok = back_r == report
 
-        good = str(tmp_path / "fuzz_base.ply")
-        write_ply(scene, good)
-        blob = open(good, "rb").read()
+        good = tmp_path / "fuzz_base.ply"
+        write_ply(scene, str(good))
+        blob = good.read_bytes()
         crashes, parse_errors = 0, 0
         for trial in range(200):
             mutated = bytearray(blob)
@@ -382,10 +382,10 @@ def test_io_round_trips(capsys, tmp_path):
                 else:
                     mutated[pos:pos] = bytes(rng.integers(0, 256, 8,
                                                           dtype=np.uint8))
-            bad = str(tmp_path / "fuzz.ply")
-            open(bad, "wb").write(bytes(mutated))
+            bad = tmp_path / "fuzz.ply"
+            bad.write_bytes(bytes(mutated))
             try:
-                parse_ply(bad)
+                parse_ply(str(bad))
             except PlyParseError:
                 parse_errors += 1
             except Exception:

@@ -130,6 +130,21 @@ def test_validation_threshold_range():
             parse_config(f"preset=tiny\nmodel.threshold={bad}\n")
 
 
+def test_validation_adam_betas_in_unit_interval():
+    for key in ("beta1", "beta2"):
+        for bad in ("1.0", "1.5", "-0.1", "nan"):
+            with pytest.raises(ConfigError, match=f"optim.{key}"):
+                parse_config(f"preset=tiny\noptim.{key}={bad}\n")
+    cfg = parse_config("preset=tiny\noptim.beta1=0\noptim.beta2=0\n")
+    assert cfg.optim.beta1 == cfg.optim.beta2 == 0.0
+
+
+def test_validation_adam_eps_positive():
+    for bad in ("0", "-1e-8", "nan"):
+        with pytest.raises(ConfigError, match="optim.eps"):
+            parse_config(f"preset=tiny\noptim.eps={bad}\n")
+
+
 def test_validation_m_strictly_decreasing():
     with pytest.raises(ConfigError, match="strictly decrease"):
         parse_config("preset=tiny\nlevel2.m=16\n")  # equals level1.m

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from psformer import _kernels
-from psformer._kernels import (_COINCIDENT_D2, _IDW_EPS, _lex_centroid,
-                               ball_query, fps_indices, nearest_index,
-                               three_nn)
+from psformer._kernels import (_COINCIDENT_D2, _IDW_EPS, ball_query,
+                               fps_indices, nearest_index, three_nn)
 from psformer.config import ModelConfig
 from psformer.model import PSFormer
 from psformer.training import gen_synthetic_scene
@@ -99,7 +98,9 @@ def _d2_full(a, b):
 
 
 def _fps_argsort(coords, m):
-    centroid = _lex_centroid(coords)
+    # the centroid is summed over the points in lexicographic order
+    lex = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
+    centroid = coords[lex].sum(axis=0) / coords.shape[0]
     chosen = np.zeros(coords.shape[0], dtype=bool)
     out = np.empty(m, dtype=np.int64)
     dist = _d2_full(centroid[None, :], coords)[0]
@@ -456,3 +457,24 @@ def test_nearest_index_memory_stays_at_one_block():
     # the (N, k, 3) broadcast it replaces peaks near 300 MB at this size; the
     # blocked search holds the 1.6 MB result plus two 512 KB block buffers
     assert peak < 4 * 2**20, peak
+
+
+def test_ball_query_and_three_nn_memory_stay_at_a_few_blocks():
+    rng = np.random.default_rng(19)
+    points = rng.uniform(0, 1, (20_000, 3))
+    centroid_idx = np.arange(0, 20_000, 4)
+    peaks = []
+    for kernel, args in ((ball_query, (points, centroid_idx, 0.05, 16)),
+                         (three_nn, (points, points[centroid_idx]))):
+        tracemalloc.start()
+        try:
+            out = kernel(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert out[0].shape == (20_000, 3)
+    # a full distance matrix between these sets is 800 MB; the blocked search
+    # holds its outputs and (rows, k) selections, about 2 MB here, plus two
+    # 512 KB block buffers
+    assert max(peaks) < 6 * 2**20, peaks

@@ -90,15 +90,16 @@ def _referenced_names(tree: ast.AST, skip: str = "") -> set:
     return names
 
 
-def test_every_autodiff_definition_is_used_in_src():
-    # operators that only tests call belong in the tests
+def test_every_src_definition_is_used_in_src():
+    # helpers and operators that only tests call belong in the tests
     trees = {}
     for path in glob.glob(os.path.join(ROOT, "src", "psformer", "*.py")):
         with open(path) as fh:
             trees[os.path.basename(path)] = ast.parse(fh.read(), path)
-    defs = [node.name for node in trees["autodiff.py"].body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    unused = [name for name in defs
-              if not any(name in _referenced_names(tree, skip=name)
-                         for tree in trees.values())]
+    assert len(trees) > 10
+    unused = [f"{module}:{node.name}"
+              for module, tree in sorted(trees.items()) for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not any(node.name in _referenced_names(other, skip=node.name)
+                          for other in trees.values())]
     assert not unused
