@@ -10,7 +10,10 @@ Attention is one autodiff node computed in blocks of query rows, each block
 over the whole key axis, so neither its forward nor its backward holds an
 (S, S) array: memory is O(S * block), not O(S^2). The backward recomputes each
 block's softmax instead of keeping it (FlashAttention's exact-math tiling,
-Dao et al. 2022, arXiv 2205.14135).
+Dao et al. 2022, arXiv 2205.14135). A call reuses its block buffers across
+blocks, one (rows, S) buffer in the forward and three in the backward, and
+runs the unfused graph's elementwise ops in their order with `out=`, so its
+bits are the unfused ops' bits.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, _accum, _make, relu, softmax_data
+from .autodiff import ShapeError, Tensor, _accum, _make, relu
 
 # Most logits one block of query rows may hold, summed over a batch of sets:
-# 2^21 float64 values, 16 MB per block-sized temporary.
+# 2^21 float64 values, 16 MB per block buffer.
 BLOCK_LOGITS = 1 << 21
 
 
@@ -101,6 +104,14 @@ def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     as the whole product, as it does for 512-row blocks of a 4096-point set.
     The k and v gradients sum over blocks, so the block size changes them
     only through summation order.
+
+    Each call allocates its block-sized arrays once and reuses them for
+    every block. The forward holds one (..., rows, S) logits buffer; the
+    backward holds three: the probabilities p, their gradient gp, and a
+    scratch for gp * p, whose row sums are reduced from it. Each side adds
+    one (..., rows, 1) buffer for the row reductions. Every op writes in
+    place (`out=`) but runs in the unfused graph's order on the same
+    operands, which is why its bits are the unfused ops' bits.
     """
     if (q.ndim < 2 or k.ndim != q.ndim or q.shape[:-2] != k.shape[:-2]
             or k.shape[:-1] != v.shape[:-1] or q.shape[-1] != k.shape[-1]):
@@ -108,30 +119,52 @@ def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     scale = np.float64(1.0 / math.sqrt(q.shape[-1]))
     kt = np.swapaxes(k.data, -1, -2)
     blocks = _row_blocks(q.shape, k.shape[-2])
+    rows = blocks[0].stop if blocks else 0
+    block_shape = q.shape[:-2] + (rows, k.shape[-2])
+    row_shape = q.shape[:-2] + (rows, 1)
 
-    def probs(blk):
-        return softmax_data((q.data[..., blk, :] @ kt) * scale)
+    def probs(blk, x, r):
+        """Fill x with the softmax of block blk's scaled logits, in the
+        unfused softmax's op order; r holds the row max, then the row sum."""
+        np.matmul(q.data[..., blk, :], kt, out=x)
+        np.multiply(x, scale, out=x)
+        np.max(x, axis=-1, keepdims=True, out=r)
+        np.subtract(x, r, out=x)
+        np.exp(x, out=x)
+        np.sum(x, axis=-1, keepdims=True, out=r)
+        np.divide(x, r, out=x)
 
     out = np.empty(q.shape[:-1] + v.shape[-1:])
+    x_buf, r_buf = np.empty(block_shape), np.empty(row_shape)
     for blk in blocks:
-        out[..., blk, :] = probs(blk) @ v.data
+        head = np.s_[..., :blk.stop - blk.start, :]   # the last block may be partial
+        probs(blk, x_buf[head], r_buf[head])
+        np.matmul(x_buf[head], v.data, out=out[..., blk, :])
 
     def backward_fn(g):
         gq = np.empty_like(q.data) if q.requires_grad else None
         vt = np.swapaxes(v.data, -1, -2)
+        p_buf, gp_buf, t_buf = (np.empty(block_shape) for _ in range(3))
+        r_buf = np.empty(row_shape)
         for blk in blocks:
-            p = probs(blk)
+            head = np.s_[..., :blk.stop - blk.start, :]
+            p, gp, t, dot = p_buf[head], gp_buf[head], t_buf[head], r_buf[head]
+            probs(blk, p, dot)
             g_blk = g[..., blk, :]
             if v.requires_grad:
                 _accum(v, np.swapaxes(p, -1, -2) @ g_blk)
-            gp = g_blk @ vt
-            dot = (gp * p).sum(axis=-1, keepdims=True)
-            gl = (gp - dot) * p * scale
+            np.matmul(g_blk, vt, out=gp)
+            np.multiply(gp, p, out=t)
+            np.sum(t, axis=-1, keepdims=True, out=dot)
+            # gl = (gp - dot) * p * scale, built in gp
+            np.subtract(gp, dot, out=gp)
+            np.multiply(gp, p, out=gp)
+            np.multiply(gp, scale, out=gp)
             if gq is not None:
-                gq[..., blk, :] = gl @ k.data
+                gq[..., blk, :] = gp @ k.data
             if k.requires_grad:
                 q_blk = q.data[..., blk, :]
-                _accum(k, np.swapaxes(np.swapaxes(q_blk, -1, -2) @ gl, -1, -2))
+                _accum(k, np.swapaxes(np.swapaxes(q_blk, -1, -2) @ gp, -1, -2))
         if gq is not None:
             _accum(q, gq)
 

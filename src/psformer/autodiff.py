@@ -217,12 +217,6 @@ def sigmoid_data(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-def softmax_data(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-shifted softmax of a plain array along `axis`."""
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 # shape ops -------------------------------------------------------------
 
 

@@ -1,6 +1,9 @@
 """Attention block: extended-precision value oracle, symmetry, gradients."""
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -192,15 +195,20 @@ def test_one_block_attend_bit_identical_to_composed_ops(shape):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("shape, rows", [((256, 16), 64), ((16, 24, 8), 8)])
+# (4096, 64) at 512 rows is UT5 of the default preset under the real
+# BLOCK_LOGITS: the blocks whose bits set the default-preset digests.
+@pytest.mark.parametrize("shape, rows", [((256, 16), 64), ((16, 24, 8), 8),
+                                         ((4096, 64), 512)])
 def test_blocked_attend_matches_one_block(monkeypatch, shape, rows):
     # At these shapes BLAS gives a row slice of a product the same bits as
     # the whole product, so only the k and v gradient sums may move.
     rng = np.random.default_rng(13)
     q, k, v, g = (rng.standard_normal(shape) for _ in range(4))
+    s = shape[-2]
+    monkeypatch.setattr(attention, "BLOCK_LOGITS", math.prod(shape[:-2]) * s * s)
+    assert len(attention._row_blocks(shape, s)) == 1
     out1, grads1 = _attend_with_grads(attend, q, k, v, g)
 
-    s = shape[-2]
     monkeypatch.setattr(attention, "BLOCK_LOGITS", rows * math.prod(shape[:-2]) * s)
     assert len(attention._row_blocks(shape, s)) == s // rows > 1
     out, grads = _attend_with_grads(attend, q, k, v, g)
@@ -245,3 +253,111 @@ def test_attend_rejects_mismatched_shapes():
         attend(z(4, 3), z(4, 3), z(5, 2))     # k and v set sizes differ
     with pytest.raises(ShapeError):
         attend(z(2, 4, 3), z(3, 4, 3), z(3, 4, 3))   # batch dims differ
+
+
+# ------------------------------------------------- reused block buffers
+
+def _attend_node(shape, seed):
+    rng = np.random.default_rng(seed)
+    q, k, v = (Tensor(rng.standard_normal(shape), requires_grad=True) for _ in range(3))
+    return q, k, v, rng.standard_normal(shape)
+
+
+def test_attend_memory_is_one_block_forward_three_backward(monkeypatch):
+    # 1024 keys in 128-row blocks: eight blocks of 1 MiB each; q, k, v and
+    # the output are 64 KiB each. The slack covers numpy's 64 KiB ufunc
+    # buffer (a broadcast subtract or divide with out=) and Python objects.
+    # Measured: forward 1.13 MiB, backward 3.26 MiB. The allocating body
+    # before block buffers were reused measured 3.13 and 6.25 MiB.
+    shape, rows = (1024, 8), 128
+    monkeypatch.setattr(attention, "BLOCK_LOGITS", rows * shape[0])
+    assert len(attention._row_blocks(shape, shape[0])) == 8
+    q, k, v, g = _attend_node(shape, 16)
+    block, arr, slack = rows * shape[0] * 8, q.data.nbytes, 128 << 10
+
+    tracemalloc.start()
+    try:
+        out = attend(q, k, v)
+        fwd = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out._backward(g)
+        bwd = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert fwd <= block + arr + slack, fwd
+    # backward: three blocks and the three gradients, plus the q gradient's
+    # buffer and one per-block k or v product before it is summed
+    assert bwd <= 3 * block + 5 * arr + slack, bwd
+    assert all(t.grad is not None for t in (q, k, v))
+
+
+def test_attend_leaves_inputs_and_earlier_outputs_alone(monkeypatch):
+    shape = (2, 40, 6)
+    monkeypatch.setattr(attention, "BLOCK_LOGITS", 16 * math.prod(shape[:-1]))
+    assert len(attention._row_blocks(shape, shape[-2])) == 3
+    q, k, v, g = _attend_node(shape, 17)
+    before = [t.data.copy() for t in (q, k, v)]
+    out = attend(q, k, v)
+    first = out.data.copy()
+    out._backward(g)
+    for t, data in zip((q, k, v), before):
+        assert np.array_equal(t.data, data)
+        assert not np.shares_memory(out.data, t.data)
+    q2, k2, v2, _ = _attend_node(shape, 18)
+    out2 = attend(q2, k2, v2)
+    assert not np.shares_memory(out.data, out2.data)
+    assert np.array_equal(out.data, first)
+    assert not np.array_equal(out2.data, first)
+
+
+def test_attend_threads_get_sequential_bits(monkeypatch):
+    # every call owns its buffers, so concurrent calls cannot see each
+    # other's blocks
+    shape = (3, 64, 8)
+    monkeypatch.setattr(attention, "BLOCK_LOGITS", 8 * math.prod(shape[:-1]))
+    cases = [_attend_node(shape, seed) for seed in (19, 20)]
+
+    def run(q, k, v, g):
+        ts = [Tensor(t.data, requires_grad=True) for t in (q, k, v)]
+        out = attend(*ts)
+        out._backward(g)
+        return [out.data] + [t.grad for t in ts]
+
+    want = [run(*c) for c in cases]
+    got = [[] for _ in cases]
+
+    def worker(i):
+        for _ in range(20):
+            got[i].append(run(*cases[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for runs, ref in zip(got, want):
+        assert len(runs) == 20
+        for arrays in runs:
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, ref))
+
+
+def test_partial_last_block_under_batch_dims_matches_one_block(monkeypatch):
+    # 50 rows in 16-row blocks leave a 2-row last block; BLAS gives these
+    # row slices the same bits as the whole product, so the output and the
+    # q gradient are bit-identical.
+    shape = (3, 50, 8)
+    rng = np.random.default_rng(21)
+    q, k, v, g = (rng.standard_normal(shape) for _ in range(4))
+    out1, grads1 = _attend_with_grads(attend, q, k, v, g)
+    monkeypatch.setattr(attention, "BLOCK_LOGITS", 16 * math.prod(shape[:-1]))
+    assert [b.stop - b.start for b in attention._row_blocks(shape, 50)] == [16, 16, 16, 2]
+    out, grads = _attend_with_grads(attend, q, k, v, g)
+    assert np.array_equal(out, out1)
+    assert np.array_equal(grads[0], grads1[0])

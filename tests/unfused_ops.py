@@ -1,10 +1,17 @@
 """The unfused op graph that attention.attend replaces, kept as the reference
 attend is checked against: softmax and a swap of the last two axes as
-separate autodiff nodes. The model itself never builds them."""
+separate autodiff nodes, and the plain-array softmax they are built on. The
+model itself never builds them."""
 
 import numpy as np
 
-from psformer.autodiff import ShapeError, Tensor, _accum, _make, softmax_data
+from psformer.autodiff import ShapeError, Tensor, _accum, _make
+
+
+def softmax_data(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Max-shifted softmax of a plain array along `axis`."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def swap_last(a: Tensor) -> Tensor:
