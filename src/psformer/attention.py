@@ -8,12 +8,13 @@ is the separate feature-norm stage. Works on (S, d_in) sets or batched
 
 Attention is one autodiff node computed in blocks of query rows, each block
 over the whole key axis, so neither its forward nor its backward holds an
-(S, S) array: memory is O(S * block), not O(S^2). The backward recomputes each
-block's softmax instead of keeping it (FlashAttention's exact-math tiling,
-Dao et al. 2022, arXiv 2205.14135). A call reuses its block buffers across
-blocks, one (rows, S) buffer in the forward and three in the backward, and
-runs the unfused graph's elementwise ops in their order with `out=`, so its
-bits are the unfused ops' bits.
+(S, S) array: memory is O(S * block), not O(S^2). Its closure saves q, k and
+v and nothing else; the backward recomputes each block's softmax instead of
+keeping it (FlashAttention's exact-math tiling, Dao et al. 2022, arXiv
+2205.14135). A call reuses its block buffers across blocks, one (rows, S)
+buffer in the forward and three in the backward, and runs the unfused graph's
+elementwise ops in their order with `out=`, so its bits are the unfused ops'
+bits.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, _accum, _make, relu
+from .autodiff import ShapeError, Tensor, _accum, _make, _save, relu
 
 # Most logits one block of query rows may hold, summed over a batch of sets:
 # 2^21 float64 values, 16 MB per block buffer.
@@ -117,7 +118,9 @@ def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
             or k.shape[:-1] != v.shape[:-1] or q.shape[-1] != k.shape[-1]):
         raise ShapeError(f"attend shapes incompatible: q {q.shape}, k {k.shape}, v {v.shape}")
     scale = np.float64(1.0 / math.sqrt(q.shape[-1]))
-    kt = np.swapaxes(k.data, -1, -2)
+    qn, kn, vn = q._node, k._node, v._node
+    qv, kv, vv = _save(q), _save(k), _save(v)
+    kt = np.swapaxes(kv, -1, -2)
     blocks = _row_blocks(q.shape, k.shape[-2])
     rows = blocks[0].stop if blocks else 0
     block_shape = q.shape[:-2] + (rows, k.shape[-2])
@@ -126,7 +129,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     def probs(blk, x, r):
         """Fill x with the softmax of block blk's scaled logits, in the
         unfused softmax's op order; r holds the row max, then the row sum."""
-        np.matmul(q.data[..., blk, :], kt, out=x)
+        np.matmul(qv[..., blk, :], kt, out=x)
         np.multiply(x, scale, out=x)
         np.max(x, axis=-1, keepdims=True, out=r)
         np.subtract(x, r, out=x)
@@ -139,11 +142,11 @@ def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     for blk in blocks:
         head = np.s_[..., :blk.stop - blk.start, :]   # the last block may be partial
         probs(blk, x_buf[head], r_buf[head])
-        np.matmul(x_buf[head], v.data, out=out[..., blk, :])
+        np.matmul(x_buf[head], vv, out=out[..., blk, :])
 
     def backward_fn(g):
-        gq = np.empty_like(q.data) if q.requires_grad else None
-        vt = np.swapaxes(v.data, -1, -2)
+        gq = np.empty_like(qv) if qn is not None else None
+        vt = np.swapaxes(vv, -1, -2)
         p_buf, gp_buf, t_buf = (np.empty(block_shape) for _ in range(3))
         r_buf = np.empty(row_shape)
         for blk in blocks:
@@ -151,8 +154,8 @@ def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
             p, gp, t, dot = p_buf[head], gp_buf[head], t_buf[head], r_buf[head]
             probs(blk, p, dot)
             g_blk = g[..., blk, :]
-            if v.requires_grad:
-                _accum(v, np.swapaxes(p, -1, -2) @ g_blk)
+            if vn is not None:
+                _accum(vn, np.swapaxes(p, -1, -2) @ g_blk)
             np.matmul(g_blk, vt, out=gp)
             np.multiply(gp, p, out=t)
             np.sum(t, axis=-1, keepdims=True, out=dot)
@@ -161,12 +164,12 @@ def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
             np.multiply(gp, p, out=gp)
             np.multiply(gp, scale, out=gp)
             if gq is not None:
-                gq[..., blk, :] = gp @ k.data
-            if k.requires_grad:
-                q_blk = q.data[..., blk, :]
-                _accum(k, np.swapaxes(np.swapaxes(q_blk, -1, -2) @ gp, -1, -2))
+                gq[..., blk, :] = gp @ kv
+            if kn is not None:
+                q_blk = qv[..., blk, :]
+                _accum(kn, np.swapaxes(np.swapaxes(q_blk, -1, -2) @ gp, -1, -2))
         if gq is not None:
-            _accum(q, gq)
+            _accum(qn, gq)
 
     return _make(out, (q, k, v), backward_fn, "attend")
 

@@ -1,14 +1,29 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The graph is implicit: every tensor produced by an operation keeps references
-to its parents and a closure that routes the output gradient back to them.
+A Tensor is a value; a tracked Tensor also points at its graph Node. A node
+holds what backward needs and nothing else: the gradient, its parents'
+nodes, the closure that routes its gradient to them, the op's name and the
+value's shape. The value stays on the caller's Tensor, so an intermediate
+the caller drops is freed at once unless a backward reads it.
+
+Each closure captures, at forward time, exactly the arrays its backward
+reads (matmul one operand's value only when the other needs a gradient,
+mul and div their operands, attend q, k and v, relu and sqrt their own
+output, bce its logits) and the nodes of its operands, never their Tensors.
+An interior node whose value some closure saved keeps it as its `data`
+until the node is routed; every other node's `data` is an empty array. So
+a walk over the nodes summing `data.nbytes` counts each saved intermediate
+once, while parameters, index arrays and constants that closures hold too
+are not counted.
+
 backward() orders the nodes reachable from the loss by an iterative
 depth-first post-order walk and runs each closure once, in reverse of that
 order, so a node's gradient is complete before it is routed to its parents.
-An interior node's gradient is released as soon as it has been routed; leaf
-tensors (parameters) and the loss keep theirs. Tensors are confined to one
-thread during a forward/backward pass; tensors built under no_grad(), which
-holds in the calling thread only, are plain read-only values.
+Once routed, an interior node drops its closure, its saved value and its
+gradient; leaf tensors (parameters) and the loss keep their gradients. A
+second backward through a routed graph raises ContractError. Tensors are
+confined to one thread during a forward/backward pass; tensors built under
+no_grad(), which holds in the calling thread only, get no node.
 """
 
 from __future__ import annotations
@@ -29,6 +44,10 @@ class ContractError(ValueError):
 
 _grad_enabled = contextvars.ContextVar("psformer_grad_enabled", default=True)
 
+# The `data` of a node whose value no backward reads.
+_UNSAVED = np.empty(0)
+_UNSAVED.flags.writeable = False
+
 
 class no_grad:
     """Context manager that disables graph construction inside its scope, in
@@ -43,18 +62,50 @@ class no_grad:
         return False
 
 
+class Node:
+    """A tracked tensor's place in the graph. A leaf node (a parameter) has
+    no parents and no closure; an interior node's closure routes its
+    gradient to its parents and is dropped once it has run."""
+
+    __slots__ = ("data", "grad", "shape", "_parents", "_backward", "_op")
+
+    def __init__(self, shape: tuple, parents: tuple = (), backward_fn=None,
+                 op: str = "leaf"):
+        self.data = _UNSAVED
+        self.grad = None
+        self.shape = shape
+        self._parents = parents
+        self._backward = backward_fn
+        self._op = op
+
+
 class Tensor:
     """N-dimensional float64 array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad
-        self.grad = None
-        self._parents: tuple = ()
-        self._backward = None
-        self._op = "leaf"
+        self._node = Node(self.data.shape) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g) -> None:
+        if self._node is None:
+            raise ContractError("grad: this tensor does not require a gradient")
+        self._node.grad = g
+
+    @property
+    def _parents(self) -> tuple:
+        """The nodes this tensor's node routes its gradient to."""
+        return () if self._node is None else self._node._parents
 
     @property
     def shape(self) -> tuple:
@@ -74,7 +125,8 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
+        op = "leaf" if self._node is None else self._node._op
+        return f"Tensor(shape={self.shape}, op={op}, requires_grad={self.requires_grad})"
 
     # arithmetic --------------------------------------------------------
 
@@ -107,28 +159,42 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data: np.ndarray, parents, backward_fn, op: str) -> Tensor:
+def _make(data: np.ndarray, parents, backward_fn, op: str,
+          reads_output: bool = False) -> Tensor:
+    """The op's output, with a node when gradients are on and an operand is
+    tracked. reads_output: the closure reads `data`, so the node keeps it."""
     out = Tensor(data)
-    if _grad_enabled.get() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
-        out._op = op
+    if _grad_enabled.get():
+        nodes = tuple(p._node for p in parents if p._node is not None)
+        if nodes:
+            node = out._node = Node(out.data.shape, nodes, backward_fn, op)
+            if reads_output:
+                node.data = out.data
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add g to t.grad: the one place a gradient enters a tensor. g of an
-    op's broadcast output shape is summed down to t's shape first."""
-    if not t.requires_grad:
+def _save(t: Tensor) -> np.ndarray:
+    """t's value, for a closure to capture. An interior node keeps it as its
+    `data` too, so a walk over the graph counts it once."""
+    node = t._node
+    if node is not None and node._parents and _grad_enabled.get():
+        node.data = t.data
+    return t.data
+
+
+def _accum(node: Node | None, g: np.ndarray) -> None:
+    """Add g to node.grad: the one place a gradient enters a node. g of an
+    op's broadcast output shape is summed down to the node's shape first.
+    An untracked operand has no node and takes nothing."""
+    if node is None:
         return
-    if g.shape != t.shape:
-        g = _unbroadcast(g, t.shape)
-    if t.grad is None:
+    if g.shape != node.shape:
+        g = _unbroadcast(g, node.shape)
+    if node.grad is None:
         # Copy: g may be a view into a child's gradient buffer.
-        t.grad = np.array(g, dtype=np.float64)
+        node.grad = np.array(g, dtype=np.float64)
     else:
-        t.grad += g
+        node.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -147,68 +213,80 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
+    an, bn = a._node, b._node
 
     def backward_fn(g):
-        _accum(a, g)
-        _accum(b, g)
+        _accum(an, g)
+        _accum(bn, g)
 
     return _make(data, (a, b), backward_fn, "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
+    an, bn = a._node, b._node
 
     def backward_fn(g):
-        _accum(a, g)
-        if b.requires_grad:
-            _accum(b, -g)
+        _accum(an, g)
+        if bn is not None:
+            _accum(bn, -g)
 
     return _make(data, (a, b), backward_fn, "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
+    an, bn = a._node, b._node
+    av = _save(a) if bn is not None else None
+    bv = _save(b) if an is not None else None
 
     def backward_fn(g):
-        if a.requires_grad:
-            _accum(a, g * b.data)
-        if b.requires_grad:
-            _accum(b, g * a.data)
+        if an is not None:
+            _accum(an, g * bv)
+        if bn is not None:
+            _accum(bn, g * av)
 
     return _make(data, (a, b), backward_fn, "mul")
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     data = a.data / b.data
+    an, bn = a._node, b._node
+    av = _save(a) if bn is not None else None
+    bv = _save(b)
 
     def backward_fn(g):
-        if a.requires_grad:
-            _accum(a, g / b.data)
-        if b.requires_grad:
-            _accum(b, -g * a.data / (b.data * b.data))
+        if an is not None:
+            _accum(an, g / bv)
+        if bn is not None:
+            _accum(bn, -g * av / (bv * bv))
 
     return _make(data, (a, b), backward_fn, "div")
 
 
 def sqrt(a: Tensor) -> Tensor:
     data = np.sqrt(a.data)
+    an = a._node
 
     def backward_fn(g):
         # Subgradient 0 at the origin: the true slope is infinite, and a
         # 0/0 here would poison every upstream gradient with NaN.
         denom = np.where(data > 0.0, data, 1.0)
-        _accum(a, np.where(data > 0.0, g * 0.5 / denom, 0.0))
+        _accum(an, np.where(data > 0.0, g * 0.5 / denom, 0.0))
 
-    return _make(data, (a,), backward_fn, "sqrt")
+    return _make(data, (a,), backward_fn, "sqrt", reads_output=True)
 
 
 def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
+    an = a._node
 
     def backward_fn(g):
-        _accum(a, g * (a.data > 0.0))
+        # out > 0 exactly where in > 0: np.maximum keeps a NaN, which fails
+        # both tests, and maps -0.0 and every negative to a zero.
+        _accum(an, g * (data > 0.0))
 
-    return _make(data, (a,), backward_fn, "relu")
+    return _make(data, (a,), backward_fn, "relu", reads_output=True)
 
 
 def sigmoid_data(x: np.ndarray) -> np.ndarray:
@@ -224,28 +302,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
     data = a.data @ b.data
+    an, bn = a._node, b._node
+    av = _save(a) if bn is not None else None
+    bv = _save(b) if an is not None else None
 
     def backward_fn(g):
-        if a.requires_grad:
-            _accum(a, g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            if b.ndim == 2 and g.ndim > 2 and a.shape[:-1] == g.shape[:-1]:
+        if an is not None:
+            _accum(an, g @ np.swapaxes(bv, -1, -2))
+        if bn is not None:
+            if len(bn.shape) == 2 and g.ndim > 2 and av.shape[:-1] == g.shape[:-1]:
                 # Batched stack times shared matrix: one flat product instead
                 # of a batched one reduced afterwards.
-                ga = a.data.reshape(-1, a.shape[-1])
+                ga = av.reshape(-1, av.shape[-1])
                 gg = g.reshape(-1, g.shape[-1])
-                _accum(b, ga.T @ gg)
+                _accum(bn, ga.T @ gg)
             else:
-                _accum(b, np.swapaxes(a.data, -1, -2) @ g)
+                _accum(bn, np.swapaxes(av, -1, -2) @ g)
 
     return _make(data, (a, b), backward_fn, "matmul")
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     data = a.data.reshape(shape)
+    an = a._node
 
     def backward_fn(g):
-        _accum(a, g.reshape(a.shape))
+        _accum(an, g.reshape(an.shape))
 
     return _make(data, (a,), backward_fn, "reshape")
 
@@ -262,13 +344,14 @@ def concat(tensors: list, axis: int = -1) -> Tensor:
             raise ShapeError(f"concat shapes {first} and {s} differ off axis {axis}")
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
+    nodes = [t._node for t in tensors]
 
     def backward_fn(g):
         offsets = np.cumsum([0] + sizes)
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            _accum(t, g[tuple(idx)])
+            _accum(node, g[tuple(idx)])
 
     return _make(data, tensors, backward_fn, "concat")
 
@@ -277,11 +360,12 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     """Select rows of `a` (axis 0) by an integer index array of any shape."""
     idx = np.asarray(idx, dtype=np.int64)
     data = a.data[idx]
+    an = a._node
 
     def backward_fn(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx.reshape(-1), g.reshape((idx.size,) + a.shape[1:]))
-        _accum(a, ga)
+        ga = np.zeros(an.shape)
+        np.add.at(ga, idx.reshape(-1), g.reshape((idx.size,) + an.shape[1:]))
+        _accum(an, ga)
 
     return _make(data, (a,), backward_fn, "gather_rows")
 
@@ -291,8 +375,10 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 
 def tsum(a: Tensor) -> Tensor:
     """Sum of every element, a scalar."""
+    an = a._node
+
     def backward_fn(g):
-        _accum(a, np.broadcast_to(g, a.shape))
+        _accum(an, np.broadcast_to(g, an.shape))
 
     return _make(a.data.sum(), (a,), backward_fn, "sum")
 
@@ -311,13 +397,14 @@ def group_max_pool(a: Tensor, valid_counts) -> Tensor:
     masked = np.where(mask[:, :, None], a.data, -np.inf)
     data = masked.max(axis=1)
     winners = masked.argmax(axis=1)  # first max among valid members
+    an = a._node
 
     def backward_fn(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(an.shape)
         rows = np.arange(m)[:, None]
         cols = np.arange(d)[None, :]
         np.add.at(ga, (rows, winners, cols), g)
-        _accum(a, ga)
+        _accum(an, ga)
 
     return _make(data, (a,), backward_fn, "group_max_pool")
 
@@ -334,12 +421,13 @@ def interp_apply(src: Tensor, idx: np.ndarray, weights: np.ndarray) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     w = np.asarray(weights, dtype=np.float64)
     data = np.einsum("nk,nkd->nd", w, src.data[idx])
+    sn = src._node
 
     def backward_fn(g):
-        gs = np.zeros_like(src.data)
+        gs = np.zeros(sn.shape)
         contrib = w[:, :, None] * g[:, None, :]
-        np.add.at(gs, idx.reshape(-1), contrib.reshape(-1, src.shape[1]))
-        _accum(src, gs)
+        np.add.at(gs, idx.reshape(-1), contrib.reshape(-1, sn.shape[1]))
+        _accum(sn, gs)
 
     return _make(data, (src,), backward_fn, "interp_apply")
 
@@ -349,11 +437,12 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
     if logits.size == 0:
         raise ContractError("bce_with_logits: empty input")
     y = np.asarray(targets, dtype=np.float64).reshape(logits.shape)
-    z = logits.data
+    z = _save(logits)
     data = np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z))))
+    ln = logits._node
 
     def backward_fn(g):
-        _accum(logits, g * (sigmoid_data(z) - y) / z.size)
+        _accum(ln, g * (sigmoid_data(z) - y) / z.size)
 
     return _make(data, (logits,), backward_fn, "bce_with_logits")
 
@@ -363,14 +452,19 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
 
 def backward(loss: Tensor) -> None:
     """Populate .grad on every leaf tensor that requires a gradient and is
-    reachable from a scalar loss, and on the loss itself. An interior node's
-    gradient is dropped once routed to its parents, so only the gradients
-    still waiting to be routed are alive at any point of the walk."""
+    reachable from a scalar loss, and on the loss itself. An untracked loss
+    routes nothing. Each interior node is freed once routed to its parents:
+    its closure, with the arrays it saved, its kept value and, but for the
+    loss, its gradient. So only what the unrouted nodes read is alive at any
+    point of the walk, and a second backward through the graph raises."""
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
+    root = loss._node
+    if root is None:
+        return
     topo = []
     visited = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, done = stack.pop()
         if done:
@@ -379,15 +473,21 @@ def backward(loss: Tensor) -> None:
         if id(node) in visited:
             continue
         visited.add(id(node))
+        if node._backward is None and node._parents:
+            raise ContractError(
+                f"backward: the {node._op} node was already routed and freed by "
+                "an earlier backward; run the forward again")
         stack.append((node, True))
         for p in node._parents:
             if id(p) not in visited:
                 stack.append((p, False))
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)
-            if node is not loss:
+            node._backward = None
+            node.data = _UNSAVED
+            if node is not root:
                 node.grad = None
 
 

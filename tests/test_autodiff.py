@@ -5,7 +5,9 @@ references; backward passes are spot-checked against closed forms and the
 finite-difference checker.
 """
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -231,6 +233,87 @@ def test_relu_gradient_gate():
     assert np.array_equal(x.grad, [0.0, 0.0, 1.0, 1.0])
 
 
+def test_relu_output_mask_matches_input_mask():
+    # relu's backward masks by its output: out > 0 is in > 0 on every value,
+    # the signed zeros and NaN included, so the gradient is the input-mask
+    # formula's, sign bits and all
+    x = np.array([np.nan, -np.nan, 0.0, -0.0, -3.0, -1e-300, 1e-300, 2.5,
+                  np.inf, -np.inf])
+    g = np.array([1.0, -2.0, 3.0, -4.0, 5.0, -6.0, 7.0, -8.0, 9.0, -10.0])
+    t = Tensor(x, requires_grad=True)
+    backward((relu(t) * Tensor(g)).sum())
+    want = g * (x > 0.0)
+    assert np.array_equal(t.grad, want)
+    assert np.array_equal(np.signbit(t.grad), np.signbit(want))
+
+
+def _nodes(t):
+    seen, stack, nodes = {id(t._node)}, [t._node], []
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return nodes
+
+
+def test_graph_keeps_only_the_arrays_backward_reads():
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    pre = matmul(x, w) + Tensor(np.ones(3))   # add reads no operand
+    out = relu(pre)                           # relu reads its own output
+    loss = (out * Tensor(2.0)).sum()
+    pre_ref, out_ref = weakref.ref(pre.data), weakref.ref(out.data)
+    del pre, out
+    gc.collect()
+    assert pre_ref() is None
+    assert out_ref() is not None
+    # a graph walk counts the one saved intermediate; no parameter is pinned
+    assert sum(n.data.nbytes for n in _nodes(loss)) == 5 * 3 * 8
+    assert x._node.data.size == 0 and w._node.data.size == 0
+    backward(loss)
+    gc.collect()
+    assert out_ref() is None
+    want = np.where(x.data @ w.data + 1.0 > 0.0, 2.0, 0.0)
+    assert np.array_equal(w.grad, x.data.T @ want)
+
+
+def test_backward_frees_each_routed_node_and_keeps_leaf_and_loss_grads():
+    rng = np.random.default_rng(24)
+    x = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    h = relu(matmul(x, w))
+    loss = (h * h).mean()
+    nodes = _nodes(loss)
+    assert any(n.data.size for n in nodes)
+    backward(loss)
+    interior = [n for n in nodes if n._parents]
+    assert len(interior) == 5
+    for n in interior:
+        assert n._backward is None and n.data.size == 0, n._op
+        assert (n.grad is None) == (n is not loss._node), n._op
+    assert loss.grad == 1.0
+    assert x.grad is not None and w.grad is not None
+
+
+def test_second_backward_through_a_routed_graph_raises():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    h = x * x
+    loss = relu(h).sum()
+    backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(ContractError, match="sum node"):
+        backward(loss)
+    # a new loss on a routed intermediate names that intermediate's op
+    with pytest.raises(ContractError, match="mul node"):
+        backward((h * Tensor(2.0)).sum())
+    assert np.array_equal(x.grad, first)    # nothing routed twice
+    assert loss.grad == 1.0
+
+
 def test_gather_rows_scatter_adds_on_duplicates():
     a = Tensor(np.arange(12, dtype=float).reshape(4, 3), requires_grad=True)
     idx = np.array([0, 2, 0, 0])
@@ -396,9 +479,11 @@ def test_corrupted_backward_fails_grad_check():
     # negative control: a relu whose backward rule is skewed by 1% must fail
     # the check that the real relu passes
     def skewed_relu(a):
+        an, av = a._node, a.data
+
         def backward_fn(g):
-            _accum(a, g * (a.data > 0.0) * 1.01)
-        return _make(np.maximum(a.data, 0.0), (a,), backward_fn, "relu")
+            _accum(an, g * (av > 0.0) * 1.01)
+        return _make(np.maximum(av, 0.0), (a,), backward_fn, "relu")
 
     rng = np.random.default_rng(0)
     w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)

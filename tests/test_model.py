@@ -4,8 +4,10 @@ equivariance, parameter bookkeeping, and ablation wiring."""
 import numpy as np
 import pytest
 
-from psformer.autodiff import ContractError, backward, bce_with_logits
+from psformer.autodiff import ContractError, Tensor, backward, bce_with_logits
 from psformer.config import ABLATION_FLAGS, ModelConfig
+from psformer.decoder import decode, mca, predict_head
+from psformer.encoder import encode_features
 from psformer.model import PSFormer
 from psformer.pointcloud import normalize_cloud
 from psformer.training import gen_synthetic_scene, make_scenes
@@ -109,7 +111,7 @@ def test_backward_releases_interior_grads_and_keeps_parameter_grads():
     for name, p in params.items():
         assert p.grad is not None and np.isfinite(p.grad).all(), name
     assert loss.grad is not None
-    param_ids = {id(p) for p in params.values()}
+    param_ids = {id(p._node) for p in params.values()}
     seen, stack, interior = {id(loss)}, [loss], 0
     while stack:
         node = stack.pop()
@@ -121,6 +123,29 @@ def test_backward_releases_interior_grads_and_keeps_parameter_grads():
                 seen.add(id(p))
                 stack.append(p)
     assert interior > 100 and param_ids <= seen
+
+
+def test_caller_held_values_survive_backward():
+    # the forward's pieces called as model.forward calls them, so the caller
+    # holds every encoder level; backward frees the graph, not the values
+    model = PSFormer(_tiny(), seed=0)
+    scene = _scene()
+    geometry = model.build_geometry(scene)
+    features9 = Tensor(scene.features9())
+    levels = encode_features(scene.coords, features9, model.level_params,
+                             geometry.levels)
+    feats = decode(levels, features9, model.dec_params, geometry.interp)
+    pred = predict_head(feats, mca(levels, model.mca_params), model.head_params)
+    assert pred.logits.data.tobytes() == model.forward(scene, geometry).logits.data.tobytes()
+    held = {"logits": pred.logits, **{f"enc{i}": t for i, t in enumerate(levels, 1)}}
+    params = model.parameters()
+    before = {k: t.data.tobytes() for k, t in {**held, **params}.items()}
+    loss = bce_with_logits(pred.logits, scene.labels.astype(np.float64))
+    backward(loss)
+    for k, t in {**held, **params}.items():
+        assert t.data.tobytes() == before[k], k
+    assert loss.grad == 1.0
+    assert all(p._node.data.size == 0 for p in params.values())
 
 
 def test_seed_controls_init():

@@ -18,18 +18,20 @@ def swap_last(a: Tensor) -> Tensor:
     if a.ndim < 2:
         raise ShapeError(f"swap_last needs ndim >= 2, got shape {a.shape}")
     data = np.swapaxes(a.data, -1, -2)
+    an = a._node
 
     def backward_fn(g):
-        _accum(a, np.swapaxes(g, -1, -2))
+        _accum(an, np.swapaxes(g, -1, -2))
 
     return _make(data, (a,), backward_fn, "swap_last")
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     data = softmax_data(a.data, axis)
+    an = a._node
 
     def backward_fn(g):
         dot = (g * data).sum(axis=axis, keepdims=True)
-        _accum(a, (g - dot) * data)
+        _accum(an, (g - dot) * data)
 
-    return _make(data, (a,), backward_fn, "softmax")
+    return _make(data, (a,), backward_fn, "softmax", reads_output=True)
