@@ -24,6 +24,13 @@ gradient; leaf tensors (parameters) and the loss keep their gradients. A
 second backward through a routed graph raises ContractError. Tensors are
 confined to one thread during a forward/backward pass; tensors built under
 no_grad(), which holds in the calling thread only, get no node.
+
+Gradients are values: no code writes an array it was handed, so none copies
+one for protection. A closure may pass its incoming gradient, or a view of
+it, straight on (add, sub's left operand, reshape, concat, sum's read-only
+broadcast), and one array may then be the gradient of several nodes; a
+later gradient is summed out of place. A `.grad` is read, never written in
+place.
 """
 
 from __future__ import annotations
@@ -94,6 +101,9 @@ class Tensor:
 
     @property
     def grad(self):
+        """The gradient backward() left here, or None. Read it, never write
+        into it: the array may also be another node's gradient or a
+        read-only view."""
         return None if self._node is None else self._node.grad
 
     @grad.setter
@@ -185,16 +195,15 @@ def _save(t: Tensor) -> np.ndarray:
 def _accum(node: Node | None, g: np.ndarray) -> None:
     """Add g to node.grad: the one place a gradient enters a node. g of an
     op's broadcast output shape is summed down to the node's shape first.
-    An untracked operand has no node and takes nothing."""
+    The first gradient is kept as given and later ones are summed out of
+    place, so neither g nor a stored gradient is ever written. np.asarray
+    only wraps the numpy scalar that 0-d arithmetic returns. An untracked
+    operand has no node and takes nothing."""
     if node is None:
         return
     if g.shape != node.shape:
         g = _unbroadcast(g, node.shape)
-    if node.grad is None:
-        # Copy: g may be a view into a child's gradient buffer.
-        node.grad = np.array(g, dtype=np.float64)
-    else:
-        node.grad += g
+    node.grad = np.asarray(g if node.grad is None else node.grad + g)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -519,14 +528,17 @@ def grad_check(f, params: dict, step: float = 1e-5, tol: float = 1e-4,
     params is a dict name -> Tensor; f must be a deterministic closure over
     them. Relative error per element is
     |a - n| / max(|a|, |n|, 1e-8). max_elems > 0 caps the number of elements
-    probed per parameter (a fast smoke mode); 0 checks every element.
+    probed per parameter (a fast smoke mode); 0 checks every element. Each
+    parameter is probed on a private copy of its array, and its own array is
+    put back afterwards, so no array the caller passed is written, not even
+    when f raises mid-probe.
     """
     if step <= 0:
         raise ContractError("grad_check: step must be positive")
 
     with no_grad():
-        y0 = f().data.copy()
-        y1 = f().data.copy()
+        y0 = f().data
+        y1 = f().data
     if y0.shape != y1.shape or not np.array_equal(y0, y1):
         raise ContractError("grad_check: f produced different values on two evaluations")
 
@@ -535,32 +547,36 @@ def grad_check(f, params: dict, step: float = 1e-5, tol: float = 1e-4,
     loss = f()
     backward(loss)
     analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+        name: (p.grad if p.grad is not None else np.zeros_like(p.data))
         for name, p in params.items()
     }
 
     report = CheckReport(tol=tol)
     with no_grad():
         for name, p in params.items():
-            a = analytic[name]
+            aflat = analytic[name].reshape(-1)
             worst = 0.0
-            flat = p.data.reshape(-1)
-            aflat = a.reshape(-1)
-            n_check = flat.size if max_elems <= 0 else min(flat.size, max_elems)
-            for i in range(n_check):
-                orig = flat[i]
-                flat[i] = orig + step
-                fp = f().item()
-                flat[i] = orig - step
-                fm = f().item()
-                flat[i] = orig
-                n = (fp - fm) / (2.0 * step)
-                if np.isfinite(aflat[i]) and np.isfinite(n):
-                    rel = abs(aflat[i] - n) / max(abs(aflat[i]), abs(n), 1e-8)
-                else:
-                    # A NaN would compare False against tol and slip through.
-                    rel = np.inf
-                if rel > worst:
-                    worst = rel
+            given = p.data
+            p.data = given.copy()
+            try:
+                flat = p.data.reshape(-1)
+                n_check = flat.size if max_elems <= 0 else min(flat.size, max_elems)
+                for i in range(n_check):
+                    orig = flat[i]
+                    flat[i] = orig + step
+                    fp = f().item()
+                    flat[i] = orig - step
+                    fm = f().item()
+                    flat[i] = orig
+                    n = (fp - fm) / (2.0 * step)
+                    if np.isfinite(aflat[i]) and np.isfinite(n):
+                        rel = abs(aflat[i] - n) / max(abs(aflat[i]), abs(n), 1e-8)
+                    else:
+                        # A NaN would compare False against tol and slip through.
+                        rel = np.inf
+                    if rel > worst:
+                        worst = rel
+            finally:
+                p.data = given
             report.per_param[name] = worst
     return report

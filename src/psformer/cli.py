@@ -108,7 +108,7 @@ def cmd_train(config_path: str | None, out_dir: str, seed: int | None = None,
         log.info("resumed %s at step %d (checkpoint config takes over)", resume, step)
     else:
         model = PSFormer(cfg)
-        optim_state, step = None, 0
+        optim_state = None
     optimizer = Adam(model.parameters(), lr=cfg.optim.lr, beta1=cfg.optim.beta1,
                      beta2=cfg.optim.beta2, eps=cfg.optim.eps)
     if optim_state is not None:
@@ -122,15 +122,12 @@ def cmd_train(config_path: str | None, out_dir: str, seed: int | None = None,
         log.info("training on %d synthetic scenes (seed %d)", len(scenes),
                  cfg.data.seed)
 
-    steps_per_epoch = math.ceil(len(scenes) / max(1, cfg.optim.batch_size))
-    epoch_base = step // steps_per_epoch if steps_per_epoch else 0
     log_path = os.path.join(out_dir, "train.log")
     ckpt_path = os.path.join(out_dir, "checkpoint.bin")
 
     with open(log_path, "a", encoding="utf-8") as log_file:
         def on_epoch(epoch, loss, report):
-            g = epoch_base + epoch
-            line = f"epoch={g} loss={loss:.17g}"
+            line = f"epoch={epoch} loss={loss:.17g}"
             if report is not None:
                 line += (f" iou={report.iou:.17g} mae={report.mae:.17g}"
                          f" f_measure={report.f_measure:.17g}")
@@ -139,15 +136,16 @@ def cmd_train(config_path: str | None, out_dir: str, seed: int | None = None,
             log.debug("%s", line)
             every = cfg.train.checkpoint_every
             if every > 0 and epoch % every == 0:
-                save_checkpoint(os.path.join(out_dir, f"checkpoint_epoch{g:04d}.bin"),
+                save_checkpoint(os.path.join(out_dir, f"checkpoint_epoch{epoch:04d}.bin"),
                                 model, optimizer)
 
         result = train_model(model, scenes, optimizer=optimizer,
                              shuffle_seed=cfg.data.seed, log_fn=on_epoch)
 
     save_checkpoint(ckpt_path, model, optimizer)
-    summary = (f"trained {len(result.losses)} epochs, final loss "
-               f"{result.losses[-1]:.6g}")
+    summary = f"trained {len(result.losses)} epochs"
+    if result.losses:
+        summary += f", final loss {result.losses[-1]:.6g}"
     if result.train_metrics is not None:
         summary += (f", train iou {result.train_metrics.iou:.4f}, "
                     f"mae {result.train_metrics.mae:.4f}")

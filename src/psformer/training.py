@@ -3,6 +3,7 @@ helpers, and the ablation harness."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,11 +192,17 @@ def eval_model(model: PSFormer, scenes, threshold: float | None = None,
 def train_model(model: PSFormer, scenes, optimizer: Adam | None = None,
                 epochs: int | None = None, log_fn=None,
                 shuffle_seed: int = 0) -> TrainResult:
-    """Minimize mean BCE over the scenes. Scene geometry is computed once and
-    reused every epoch (it depends only on coordinates). Early stop when the
-    configured IoU/MAE targets are both met at an eval probe. A non-finite
-    batch loss raises ContractError before it reaches the gradients, the
-    optimizer state or the parameters."""
+    """Minimize mean BCE over the scenes for `epochs` more epochs. Scene
+    geometry is computed once and reused every epoch (it depends only on
+    coordinates). Early stop when the configured IoU/MAE targets are both
+    met at an eval probe. A non-finite batch loss raises ContractError
+    before it reaches the gradients, the optimizer state or the parameters.
+
+    An optimizer that has already stepped resumes the run: the epochs it
+    completed are optimizer.t // ceil(len(scenes) / batch size), their
+    shuffles are drawn and discarded, and epochs are numbered from there for
+    log_fn, the eval probes and errors. So a run resumed from a checkpoint
+    repeats the uninterrupted run's epochs."""
     if not scenes:
         raise ContractError("train_model needs at least one scene")
     for i, cloud in enumerate(scenes):
@@ -209,10 +216,14 @@ def train_model(model: PSFormer, scenes, optimizer: Adam | None = None,
     batch = max(1, cfg.optim.batch_size)
     geoms = [model.build_geometry(c) for c in scenes]
     order_rng = np.random.default_rng(shuffle_seed)
+    first = optimizer.t // math.ceil(len(scenes) / batch)
+    for _ in range(first):
+        order_rng.permutation(len(scenes))
 
     result = TrainResult()
     target_iou = cfg.train.target_iou
-    for epoch in range(epochs):
+    last = first + epochs - 1
+    for epoch in range(first, first + epochs):
         order = order_rng.permutation(len(scenes))
         epoch_loss = 0.0
         for lo in range(0, len(order), batch):
@@ -234,7 +245,7 @@ def train_model(model: PSFormer, scenes, optimizer: Adam | None = None,
         result.losses.append(epoch_loss)
 
         probe = (cfg.train.eval_every > 0 and (epoch + 1) % cfg.train.eval_every == 0)
-        if probe or epoch == epochs - 1:
+        if probe or epoch == last:
             report = eval_model(model, scenes, name="train", geometries=geoms)
             result.train_metrics = report
             if log_fn:

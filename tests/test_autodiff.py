@@ -161,6 +161,27 @@ def test_backward_shared_node_accumulates():
     assert np.allclose(x.grad, 24.0, atol=1e-15, rtol=0)
 
 
+def test_backward_never_writes_a_gradient_the_caller_set():
+    x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+    given = np.array([10.0, 20.0, 30.0])
+    x.grad = given
+    backward((x * Tensor(2.0)).sum())
+    assert np.array_equal(x.grad, [12.0, 22.0, 32.0])
+    assert np.array_equal(given, [10.0, 20.0, 30.0])
+
+
+def test_zero_dim_gradients_are_arrays():
+    # 0-d arithmetic returns numpy scalars; .grad holds arrays, both for a
+    # first gradient and for a sum of two
+    x = Tensor(2.0, requires_grad=True)
+    backward(x * Tensor(3.0) + x * Tensor(4.0))
+    assert isinstance(x.grad, np.ndarray) and x.grad.shape == ()
+    assert x.grad == 7.0
+    y = Tensor(2.0, requires_grad=True)
+    backward(y * Tensor(3.0))
+    assert isinstance(y.grad, np.ndarray) and y.grad == 3.0
+
+
 def test_backward_div_sqrt_closed_forms():
     x = Tensor([4.0, 9.0], requires_grad=True)
     backward(sqrt(x).sum())
@@ -467,6 +488,26 @@ def test_grad_check_rejects_nondeterministic_objective():
 
     with pytest.raises(ContractError):
         grad_check(f, {"w": w})
+
+
+def test_grad_check_leaves_parameters_as_given_when_f_raises():
+    w = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    b = Tensor(np.array([[0.5, -0.5]]), requires_grad=True)
+    arrays = {"w": w.data, "b": b.data}
+    saved = {k: a.copy() for k, a in arrays.items()}
+    calls = {"n": 0}
+
+    def f():
+        calls["n"] += 1
+        if calls["n"] == 5:   # the second probe of w's first element
+            raise RuntimeError("objective failed")
+        return (w * w).sum() + (b * b).sum()
+
+    with pytest.raises(RuntimeError, match="objective failed"):
+        grad_check(f, {"w": w, "b": b})
+    for name, t in (("w", w), ("b", b)):
+        assert t.data is arrays[name], name
+        assert np.array_equal(t.data, saved[name]), name
 
 
 def test_grad_check_step_must_be_positive():

@@ -101,11 +101,13 @@ def test_optimizer_state_round_trip(tmp_path):
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
-    # one scene, so the per-epoch shuffle is a no-op and the only state that
-    # has to survive the restart is weights + adam moments + step count
+    # four scenes in batches of two, so each epoch's shuffle decides the
+    # batches: the resumed run must draw the uninterrupted run's epoch-3 and
+    # epoch-4 permutations, not restart at epoch 1's
     cfg = ModelConfig.tiny()
     cfg.train.eval_every = 0
-    scenes = make_scenes(cfg.data, 1, seed0=7)
+    cfg.optim.batch_size = 2
+    scenes = make_scenes(cfg.data, 4, seed0=7)
 
     straight = PSFormer(cfg, seed=5)
     res_a = train_model(straight, scenes, epochs=4)

@@ -5,6 +5,7 @@ import io
 import logging
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,15 +134,38 @@ def test_train_is_reproducible(tmp_path, capsys):
 
 
 def test_train_resume_continues_epoch_numbering(tmp_path, capsys):
-    cfg = _write_config(tmp_path, extra="data.train_scenes=1\n")
+    # four scenes in batches of two, so a resumed run that replayed epoch 1's
+    # shuffle would log different losses than the uninterrupted run
+    extra = "data.train_scenes=4\noptim.batch_size=2\ntrain.checkpoint_every=2\n"
+    cfg = _write_config(tmp_path, extra=extra)
     out = tmp_path / "run"
     assert main(["train", "--config", cfg, "--out", str(out)]) == 0
     assert main(["train", "--config", cfg, "--out", str(out),
                  "--resume", str(out / "checkpoint.bin")]) == 0
-    epochs = [line.split()[0] for line in
-              (out / "train.log").read_text().splitlines()]
-    assert epochs == [f"epoch={i}" for i in range(1, 7)]
+    straight_cfg = tmp_path / "six.cfg"
+    straight_cfg.write_text(Path(cfg).read_text() + "train.epochs=6\n")
+    straight = tmp_path / "straight"
+    assert main(["train", "--config", str(straight_cfg), "--out", str(straight)]) == 0
+
+    resumed = [line.split()[:2] for line in
+               (out / "train.log").read_text().splitlines()]
+    assert [e for e, _ in resumed] == [f"epoch={i}" for i in range(1, 7)]
+    assert resumed == [line.split()[:2] for line in
+                       (straight / "train.log").read_text().splitlines()]
+    # the checkpoint cadence counts the run's epochs, not the session's
+    assert sorted(p.name for p in out.glob("checkpoint_epoch*.bin")) == [
+        "checkpoint_epoch0002.bin", "checkpoint_epoch0004.bin",
+        "checkpoint_epoch0006.bin"]
     capsys.readouterr()
+
+
+def test_train_zero_epochs_prints_a_summary(tmp_path, capsys):
+    cfg = _write_config(tmp_path, extra="train.epochs=0\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == "trained 0 epochs"
+    assert (out / "checkpoint.bin").exists()
+    assert (out / "train.log").read_text() == ""
 
 
 def test_train_periodic_checkpoints(tmp_path, capsys):

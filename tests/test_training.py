@@ -209,7 +209,8 @@ def test_train_stops_on_non_finite_loss_before_any_update():
              "m": {k: a.copy() for k, a in opt.m.items()},
              "v": {k: a.copy() for k, a in opt.v.items()}}
 
-    with pytest.raises(ContractError, match=r"non-finite loss nan at epoch 1"):
+    # the optimizer has run one epoch, so this run's first epoch is epoch 2
+    with pytest.raises(ContractError, match=r"non-finite loss nan at epoch 2"):
         train_model(model, scenes, optimizer=opt, epochs=3)
 
     assert opt.t == state["t"] > 0
