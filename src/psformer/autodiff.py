@@ -8,8 +8,9 @@ the caller drops is freed at once unless a backward reads it.
 
 Each closure captures, at forward time, exactly the arrays its backward
 reads (matmul one operand's value only when the other needs a gradient,
-mul and div their operands, attend q, k and v, relu and sqrt their own
-output, bce its logits) and the nodes of its operands, never their Tensors.
+mul and div their operands, attend q, k and v, FN its centroid
+difference, relu its own output, bce its logits) and the nodes of its
+operands, never their Tensors.
 An interior node whose value some closure saved keeps it as its `data`
 until the node is routed; every other node's `data` is an empty array. So
 a walk over the nodes summing `data.nbytes` counts each saved intermediate
@@ -271,19 +272,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
             _accum(bn, -g * av / (bv * bv))
 
     return _make(data, (a, b), backward_fn, "div")
-
-
-def sqrt(a: Tensor) -> Tensor:
-    data = np.sqrt(a.data)
-    an = a._node
-
-    def backward_fn(g):
-        # Subgradient 0 at the origin: the true slope is infinite, and a
-        # 0/0 here would poison every upstream gradient with NaN.
-        denom = np.where(data > 0.0, data, 1.0)
-        _accum(an, np.where(data > 0.0, g * 0.5 / denom, 0.0))
-
-    return _make(data, (a,), backward_fn, "sqrt", reads_output=True)
 
 
 def relu(a: Tensor) -> Tensor:

@@ -12,7 +12,6 @@ byte count differs from the writer's. Raw float64 weights round-trip bit-exactly
 from __future__ import annotations
 
 import collections
-import io
 import math
 import os
 import zipfile
@@ -25,6 +24,7 @@ from .model import PSFormer
 
 _FORMAT = b"psformer-checkpoint-2"
 _DTYPES = {"format": "|u1", "config": "|u1", "step": "<i8"}   # others "<f8"
+_CHUNK = 1 << 18   # bytes per read: zipfile would copy a whole-member read twice more
 # zipfile's and numpy's errors on bad bytes; stored members need no decompressor
 _DECODE_ERRORS = (zipfile.BadZipFile, EOFError, OSError, KeyError, RuntimeError,
                   ValueError)
@@ -48,19 +48,21 @@ def save_checkpoint(path: str, model, optimizer=None) -> None:
 
 
 def _array(zf: zipfile.ZipFile, name: str, path: str) -> np.ndarray:
-    """Member `name` as a read-only view of its CRC-checked bytes."""
+    """Member `name` read into a fresh writable array, to its end so zip checks its CRC-32."""
     want = np.dtype(_DTYPES.get(name, "<f8"))
     try:
-        raw = zf.read(name + ".npy")
-        fh = io.BytesIO(raw)
-        if np.lib.format.read_magic(fh) != (1, 0):
-            raise ValueError("not a version 1.0 .npy header")
-        shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
-        size = len(raw) - fh.tell()
-        if fortran or dtype != want or math.prod(shape) * want.itemsize != size:
-            raise ValueError(f"implausible header: {dtype.str} {shape} "
-                             f"fortran_order={fortran} for {size} data bytes")
-        return np.frombuffer(raw, want, offset=fh.tell()).reshape(shape)
+        with zf.open(name + ".npy") as fh:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                raise ValueError("not a version 1.0 .npy header")
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+            size = zf.getinfo(name + ".npy").file_size - fh.tell()
+            if fortran or dtype != want or math.prod(shape) * want.itemsize != size:
+                raise ValueError(f"implausible header: {dtype.str} {shape} "
+                                 f"fortran_order={fortran} for {size} data bytes")
+            flat = np.empty(size, np.uint8)
+            if sum(fh.readinto(flat[lo:lo + _CHUNK]) for lo in range(0, size, _CHUNK)) != size:
+                raise EOFError(f"member ends before its {size} data bytes")
+        return flat.view(want).reshape(shape)
     except _DECODE_ERRORS as e:
         raise CheckpointError(f"{path}: member {name!r}: {e!r}") from e
 
@@ -76,10 +78,10 @@ def load_checkpoint(path: str):
     except _DECODE_ERRORS as e:
         raise CheckpointError(f"{path}: not a checkpoint archive: {e!r}") from e
     with zf:
-        # zipfile allocates a member's stated size up front; bound it by the file.
+        # A member's stated sizes are allocated up front; bound them by the file.
         size = os.path.getsize(path)
-        big = [i.filename for i in zf.infolist()
-               if i.compress_type != zipfile.ZIP_STORED or i.compress_size > size]
+        big = [i.filename for i in zf.infolist() if i.compress_type != zipfile.ZIP_STORED
+               or max(i.compress_size, i.file_size) > size]
         if big:
             raise CheckpointError(f"{path}: members {big} compressed or larger than the file")
         names = [n.removesuffix(".npy") for n in zf.namelist()]

@@ -31,7 +31,6 @@ class LevelSpec:
 @dataclass
 class ModelSection:
     compress_dim: int = 32       # per-level width inside the scene context
-    fn_eps: float = 1e-5
     threshold: float = 0.5
     adaptive_threshold: bool = False   # eval-time threshold = min(1, 2*mean p)
     use_fn: bool = True
@@ -180,8 +179,6 @@ class ModelConfig:
             raise ConfigError("model.compress_dim must be positive")
         if not 0.0 < self.model.threshold < 1.0:
             raise ConfigError(f"model.threshold must be in (0,1), got {self.model.threshold}")
-        if self.model.fn_eps <= 0:
-            raise ConfigError("model.fn_eps must be positive")
         if self.optim.lr <= 0:
             raise ConfigError("optim.lr must be positive")
         for key in ("beta1", "beta2"):

@@ -45,14 +45,14 @@ class PCTLevelParams:
 
 def init_level(rng: np.random.Generator, d_in: int, d_out: int, *,
                use_fn: bool = True, use_psi_pre: bool = True,
-               use_psi_post: bool = True, fn_eps: float = 1e-5) -> PCTLevelParams:
+               use_psi_post: bool = True) -> PCTLevelParams:
     """A lift bias is created only when FN is off: FN subtracts the centroid
     feature from each member, so a per-channel shift cancels exactly and the
     bias would be an untrainable dead parameter; FN's beta plays its role."""
     return PCTLevelParams(
         lift_w=glorot(rng, d_in + 3, d_out),
         lift_b=None if use_fn else Tensor(np.zeros(d_out), requires_grad=True),
-        fn=init_fn(d_out, fn_eps) if use_fn else None,
+        fn=init_fn(d_out) if use_fn else None,
         psi_pre=init_trans(rng, d_out) if use_psi_pre else None,
         psi_post=init_trans(rng, d_out) if use_psi_post else None,
     )

@@ -46,8 +46,8 @@ class _NoDraw:
 class PSFormer:
     """Parameter container plus forward pass. Parameters exist only for
     enabled stages, so ablated variants have genuinely smaller models.
-    Weights are drawn from `seed` (default: the config's), or copied from
-    `weights`, a name -> array map as `parameters()` names them."""
+    Weights are drawn from `seed` (default: the config's), or adopted, not
+    copied, from `weights`, a name -> array map as `parameters()` names them."""
 
     def __init__(self, config: ModelConfig, seed: int | None = None,
                  weights: dict | None = None):
@@ -65,7 +65,7 @@ class PSFormer:
         for d_out in widths:
             self.level_params.append(init_level(
                 rng, d_in, d_out, use_fn=m.use_fn, use_psi_pre=m.use_psi_pre,
-                use_psi_post=m.use_psi_post, fn_eps=m.fn_eps))
+                use_psi_post=m.use_psi_post))
             d_in = d_out
 
         d_dec = widths[0]
@@ -89,11 +89,11 @@ class PSFormer:
             raise ContractError(
                 f"parameter set mismatch: missing {missing}, unexpected {extra}")
         for name, p in params.items():
-            arr = np.asarray(weights[name], dtype=np.float64)
+            arr = np.require(weights[name], np.float64, "W")
             if arr.shape != p.data.shape:
                 raise ContractError(
                     f"parameter {name}: shape {arr.shape} != expected {p.data.shape}")
-            p.data = arr.copy()
+            p.data = arr
 
     # parameters ---------------------------------------------------------
 

@@ -16,7 +16,7 @@ from psformer.checkpoint import model_from_checkpoint, save_checkpoint
 from psformer.cli import cmd_gradcheck
 from psformer.config import ABLATION_FLAGS, LevelSpec, ModelConfig
 from psformer.decoder import MCAParams, mca
-from psformer.featurenorm import FNParams, fn_apply, group_std
+from psformer.featurenorm import EPS, FNParams, fn_apply, group_std
 from psformer.metrics import (e_measure, evaluate, f_measure, format_table,
                               iou, mae, parse_report, write_report)
 from psformer.model import PSFormer
@@ -132,10 +132,9 @@ def test_equation_oracles(capsys):
             members, centroids = Tensor(neigh), Tensor(cent)
             alpha, beta = rng.normal(0, 1, d), rng.normal(0, 1, d)
             params = FNParams(alpha=Tensor(alpha), beta=Tensor(beta))
-            sig_ref, out_ref = _fn_oracle(neigh, cent, alpha, beta,
-                                          params.epsilon)
+            sig_ref, out_ref = _fn_oracle(neigh, cent, alpha, beta, EPS)
             worst_fn = max(worst_fn,
-                           abs(group_std(members, centroids).item() - sig_ref),
+                           abs(group_std(neigh - cent[:, None, :]) - sig_ref),
                            np.abs(fn_apply(members, centroids, params).data
                                   - out_ref).max())
 

@@ -16,8 +16,8 @@ from psformer.autodiff import (CheckReport, ContractError, ShapeError, Tensor,
                                _accum, _make, backward, bce_with_logits,
                                concat, gather_rows, grad_check, group_max_pool,
                                interp_apply, matmul, no_grad, relu,
-                               sigmoid_data, sqrt, tmean, tsum)
-from unfused_ops import softmax_data, swap_last
+                               sigmoid_data, tmean, tsum)
+from unfused_ops import softmax_data, sqrt, swap_last
 
 
 def _matmul_loops(a, b):

@@ -281,22 +281,25 @@ def test_huge_header_rejected_before_allocating(tmp_path):
 
 
 def test_member_size_past_end_of_file(tmp_path):
-    # A central-directory entry claiming 2 GiB of stored data: zipfile would
-    # allocate that much before reading, so the loader refuses it first.
-    blob = bytearray(_valid_blob(tmp_path))
-    entry = blob.find(b"PK\x01\x02")
-    blob[entry + 20:entry + 24] = struct.pack("<I", 2 ** 31 - 1)
-    path = str(tmp_path / "big.ckpt")
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
-    tracemalloc.start()
-    try:
-        with pytest.raises(CheckpointError, match="larger than the file"):
-            load_checkpoint(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20, peak
+    # A central-directory entry claiming 2 GiB of stored data, as its
+    # compressed (offset 20) or its uncompressed size (offset 24): zipfile
+    # and the member's array would allocate that much before reading, so
+    # the loader refuses it first.
+    for offset in (20, 24):
+        blob = bytearray(_valid_blob(tmp_path))
+        entry = blob.find(b"PK\x01\x02")
+        blob[entry + offset:entry + offset + 4] = struct.pack("<I", 2 ** 31 - 1)
+        path = str(tmp_path / "big.ckpt")
+        with open(path, "wb") as fh:
+            fh.write(bytes(blob))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="larger than the file"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (offset, peak)
 
 
 def test_duplicate_parameter_name(tmp_path):

@@ -1,9 +1,12 @@
 """Configuration format tests: presets, the flat key=value text round-trip,
 override precedence, and field validation."""
 
+import re
+from pathlib import Path
+
 import pytest
 
-from psformer.config import (ABLATION_FLAGS, ConfigError, ModelConfig,
+from psformer.config import (ABLATION_FLAGS, N_LEVELS, ConfigError, ModelConfig,
                              parse_config, serialize_config)
 
 
@@ -91,6 +94,8 @@ def test_unknown_keys_are_named():
         parse_config("preset=tiny\nlevel1.q=3\n")
     with pytest.raises(ConfigError, match="model.attn_cap"):
         parse_config("preset=tiny\nmodel.attn_cap=0\n")
+    with pytest.raises(ConfigError, match="model.fn_eps"):
+        parse_config("preset=tiny\nmodel.fn_eps=1e-05\n")
 
 
 def test_level_index_bounds():
@@ -174,8 +179,6 @@ def test_validation_positive_fields():
         parse_config("preset=tiny\nlevel2.k=0\n")
     with pytest.raises(ConfigError, match="lr"):
         parse_config("preset=tiny\noptim.lr=0\n")
-    with pytest.raises(ConfigError, match="fn_eps"):
-        parse_config("preset=tiny\nmodel.fn_eps=-1e-5\n")
 
 
 # ---------------------------------------------------------------- ablation
@@ -227,7 +230,6 @@ TINY_TEXT = (
     "level5.k=4\n"
     "level5.d_out=14\n"
     "model.compress_dim=4\n"
-    "model.fn_eps=1e-05\n"
     "model.threshold=0.5\n"
     "model.adaptive_threshold=false\n"
     "model.use_fn=true\n"
@@ -277,7 +279,6 @@ DESK_OVERRIDDEN_TEXT = (
     "level5.k=8\n"
     "level5.d_out=128\n"
     "model.compress_dim=8\n"
-    "model.fn_eps=1e-05\n"
     "model.threshold=0.5\n"
     "model.adaptive_threshold=false\n"
     "model.use_fn=false\n"
@@ -323,3 +324,17 @@ def test_overridden_ablated_desk_serializes_to_pinned_text():
     ).ablated(["fn"])
     assert serialize_config(cfg) == DESK_OVERRIDDEN_TEXT
     assert parse_config(DESK_OVERRIDDEN_TEXT) == cfg
+
+
+def test_readme_lists_exactly_the_config_keys():
+    # the "- `section`: key, key" lines of README's config section
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Config files", 1)[1].split("\n## ", 1)[0]
+    listed = set()
+    for m in re.finditer(r"^- `(\w+)`: (.+)$", section, re.M):
+        sections = ([f"level{i}" for i in range(1, N_LEVELS + 1)]
+                    if m[1] == "levelN" else [m[1]])
+        listed |= {f"{sec}.{key.strip()}" for sec in sections for key in m[2].split(",")}
+    keys = {line.split("=", 1)[0]
+            for line in serialize_config(ModelConfig.default()).splitlines()}
+    assert listed == keys, (sorted(listed - keys), sorted(keys - listed))

@@ -9,7 +9,7 @@ from psformer import encoder
 from psformer.autodiff import ContractError, Tensor, backward, grad_check
 from psformer.config import LevelSpec
 from psformer.encoder import build_level_geometry, encode_features, init_level, pct_block
-from psformer.featurenorm import fn_apply
+from psformer.featurenorm import EPS, fn_apply
 from psformer.pointcloud import normalize_cloud
 
 
@@ -265,7 +265,7 @@ def test_lift_sees_member_offsets_and_zero_centroid_offset():
     geom = build_level_geometry(cloud.coords, spec)
     out = pct_block(cloud.coords, Tensor(cloud.features9()), geom, params)
     rel = cloud.coords[geom.neighbor_idx] - cloud.coords[geom.centroid_idx][:, None, :]
-    scaled = rel / (np.sqrt((rel * rel).mean()) + params.fn.epsilon)
+    scaled = rel / (np.sqrt((rel * rel).mean()) + EPS)
     want = np.stack([scaled[i, :c].max(axis=0)
                      for i, c in enumerate(geom.valid_counts)])
     assert np.allclose(out.data, want, rtol=0, atol=1e-12)
@@ -303,8 +303,9 @@ def test_encode_chain_grad_check():
 
 def test_degenerate_level_keeps_gradients_finite():
     # every level-2 group is a lone seed padded with itself, so the level
-    # deviation is exactly zero; sqrt's backward must not emit 0/0 NaNs
-    # (they would silently poison every upstream gradient)
+    # deviation is exactly zero; FN's backward must not emit 0/0 NaNs
+    # through sigma's infinite slope (they would silently poison every
+    # upstream gradient)
     rng = np.random.default_rng(17)
     cloud = _cloud(rng, n=10)
     specs = [_level(m=4, radius=0.5, k=3, d_out=4),

@@ -148,6 +148,39 @@ def test_caller_held_values_survive_backward():
     assert all(p._node.data.size == 0 for p in params.values())
 
 
+def _nodes_from(roots, stop=lambda node: False) -> list:
+    """Every node reachable from roots without passing a node `stop` names,
+    which is left out."""
+    seen, stack, out = set(), list(roots), []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or stop(node):
+            continue
+        seen.add(id(node))
+        out.append(node)
+        stack.extend(node._parents)
+    return out
+
+
+def test_step_graph_holds_fn_as_one_node_saving_one_difference_per_level():
+    # FN is one "fn" node per level whose own subgraph, down to the lifts,
+    # saves only the (M, K, d) centroid difference; the composed
+    # sub/mul/mean/sqrt/div form held three such arrays and a sqrt node
+    cfg = _tiny()
+    model = PSFormer(cfg, seed=0)
+    scene = _scene()
+    loss = bce_with_logits(model.forward(scene).logits,
+                           scene.labels.astype(np.float64))
+    nodes = _nodes_from([loss._node])
+    fns = [n for n in nodes if n._op == "fn"]
+    assert sorted(n.shape for n in fns) == sorted((lv.m, lv.k, lv.d_out) for lv in cfg.levels)
+    assert not [n for n in nodes if n._op == "sqrt"]
+    for fn in fns:
+        inside = _nodes_from(fn._parents, stop=lambda n: n._op in ("matmul", "leaf"))
+        saved = [n.data.shape for n in inside if n.data.size]
+        assert saved == [fn.shape], saved
+
+
 def test_seed_controls_init():
     cfg = _tiny()
     a = PSFormer(cfg, seed=0).parameters()
@@ -186,7 +219,7 @@ def test_weights_argument_validates():
 
     loaded = PSFormer(cfg, weights=good).parameters()[some]
     assert np.array_equal(loaded.data, good[some])
-    assert loaded.data is not good[some]  # defensive copy
+    assert loaded.data is good[some]  # adopted, not copied
 
 
 # -------------------------------------------------------------- ablations

@@ -1,11 +1,13 @@
-"""The unfused op graph that attention.attend replaces, kept as the reference
-attend is checked against: softmax and a swap of the last two axes as
-separate autodiff nodes, and the plain-array softmax they are built on. The
-model itself never builds them."""
+"""The unfused op graphs that attention.attend and featurenorm.fn_apply
+replace, kept as the references those ops are checked against: softmax, a
+swap of the last two axes and sqrt as separate autodiff nodes, the
+plain-array softmax they are built on, and FN composed from sub, mul, mean,
+sqrt and div. The model itself never builds them."""
 
 import numpy as np
 
 from psformer.autodiff import ShapeError, Tensor, _accum, _make
+from psformer.featurenorm import EPS, FNParams
 
 
 def softmax_data(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -35,3 +37,28 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         _accum(an, (g - dot) * data)
 
     return _make(data, (a,), backward_fn, "softmax", reads_output=True)
+
+
+def sqrt(a: Tensor) -> Tensor:
+    data = np.sqrt(a.data)
+    an = a._node
+
+    def backward_fn(g):
+        # Subgradient 0 at the origin: the true slope is infinite, and a
+        # 0/0 here would poison every upstream gradient with NaN.
+        denom = np.where(data > 0.0, data, 1.0)
+        _accum(an, np.where(data > 0.0, g * 0.5 / denom, 0.0))
+
+    return _make(data, (a,), backward_fn, "sqrt", reads_output=True)
+
+
+def fn_apply(members: Tensor, centroids: Tensor, params: FNParams) -> Tensor:
+    """alpha * (f_ij - f_i) / (sigma + EPS) + beta as a graph of elementwise
+    ops, sigma the root mean square of the centroid difference. The
+    difference is built twice, once for sigma and once for the affine map,
+    so each reaches the members and the centroids by its own path."""
+    m, _, d = members.shape
+    sigma_diff = members - centroids.reshape(m, 1, d)
+    sigma = sqrt((sigma_diff * sigma_diff).mean())
+    diff = members - centroids.reshape(m, 1, d)
+    return params.alpha * (diff / (sigma + EPS)) + params.beta
