@@ -36,11 +36,11 @@ class ModelGeometry:
 
 
 class _NoDraw:
-    """The generator's stand-in when weights are given: shapes, no draws."""
+    """The generator's stand-in when weights are given: shapes, no draws, no memory."""
 
     @staticmethod
     def uniform(low, high, size):
-        return np.empty(size)
+        return np.broadcast_to(np.float64(0.0), size)
 
 
 class PSFormer:

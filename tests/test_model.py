@@ -1,6 +1,8 @@
 """End-to-end model behavior: output shapes, determinism, point-order
 equivariance, parameter bookkeeping, and ablation wiring."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,21 @@ def test_weights_argument_validates():
     loaded = PSFormer(cfg, weights=good).parameters()[some]
     assert np.array_equal(loaded.data, good[some])
     assert loaded.data is good[some]  # adopted, not copied
+
+
+def test_weights_argument_allocates_no_placeholders():
+    # Given weights, the parameters' shapes cost no arrays of their own: a
+    # placeholder per parameter would allocate a second model while building.
+    cfg = ModelConfig.desk()
+    good = {n: p.data.copy() for n, p in PSFormer(cfg, seed=0).parameters().items()}
+    weight_bytes = sum(a.nbytes for a in good.values())
+    tracemalloc.start()
+    try:
+        PSFormer(cfg, weights=good)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < weight_bytes / 10, (peak, weight_bytes)
 
 
 # -------------------------------------------------------------- ablations
