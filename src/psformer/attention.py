@@ -14,7 +14,8 @@ keeping it (FlashAttention's exact-math tiling, Dao et al. 2022, arXiv
 2205.14135). A call reuses its block buffers across blocks, one (rows, S)
 buffer in the forward and three in the backward, and runs the unfused graph's
 elementwise ops in their order with `out=`, so its bits are the unfused ops'
-bits.
+bits. A large block runs as two halves on the machine's two cores (_pool),
+each in its own rows of the same buffers.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, _accum, _make, _save, relu
+from . import _pool
+from .autodiff import ShapeError, Tensor, _accum, _make, _product, _save, relu
 
 # Most logits one block of query rows may hold, summed over a batch of sets:
 # 2^21 float64 values, 16 MB per block buffer.
@@ -113,6 +115,13 @@ def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     one (..., rows, 1) buffer for the row reductions. Every op writes in
     place (`out=`) but runs in the unfused graph's order on the same
     operands, which is why its bits are the unfused ops' bits.
+
+    A block with enough work is split in two, one half per thread (_pool),
+    without new buffers: its query rows, or the sets of a stack. After both
+    halves of a backward block are done, the k and v products of the block
+    are split along keys, widths or sets, and summed into the gradients on
+    the calling thread in block order. A half runs the same ops on fewer
+    rows or sets, so the split moves no bit.
     """
     if (q.ndim < 2 or k.ndim != q.ndim or q.shape[:-2] != k.shape[:-2]
             or k.shape[:-1] != v.shape[:-1] or q.shape[-1] != k.shape[-1]):
@@ -120,16 +129,30 @@ def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     scale = np.float64(1.0 / math.sqrt(q.shape[-1]))
     qn, kn, vn = q._node, k._node, v._node
     qv, kv, vv = _save(q), _save(k), _save(v)
-    kt = np.swapaxes(kv, -1, -2)
+    kt, vt = np.swapaxes(kv, -1, -2), np.swapaxes(vv, -1, -2)
     blocks = _row_blocks(q.shape, k.shape[-2])
     rows = blocks[0].stop if blocks else 0
     block_shape = q.shape[:-2] + (rows, k.shape[-2])
     row_shape = q.shape[:-2] + (rows, 1)
+    batched = q.ndim > 2
+    sets = math.prod(q.shape[:-2])
+    width = min(q.shape[-1], v.shape[-1])
 
-    def probs(blk, x, r):
-        """Fill x with the softmax of block blk's scaled logits, in the
+    def halves(blk):
+        """The parts of block blk that the two threads take (_pool): its
+        query rows, or the sets of a stack."""
+        n = blk.stop - blk.start
+        return _pool.parts(q.shape[0] if batched else n, sets * n * k.shape[-2] * width)
+
+    def keyed(a, part):
+        """Part of k, v or a transpose of them: every query row of a set
+        reads its set's keys and values whole."""
+        return a[part] if batched else a
+
+    def probs(q_rows, kt_part, x, r):
+        """Fill x with the softmax of the scaled logits of q_rows, in the
         unfused softmax's op order; r holds the row max, then the row sum."""
-        np.matmul(qv[..., blk, :], kt, out=x)
+        np.matmul(q_rows, kt_part, out=x)
         np.multiply(x, scale, out=x)
         np.max(x, axis=-1, keepdims=True, out=r)
         np.subtract(x, r, out=x)
@@ -141,33 +164,41 @@ def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     x_buf, r_buf = np.empty(block_shape), np.empty(row_shape)
     for blk in blocks:
         head = np.s_[..., :blk.stop - blk.start, :]   # the last block may be partial
-        probs(blk, x_buf[head], r_buf[head])
-        np.matmul(x_buf[head], vv, out=out[..., blk, :])
+        x, r, q_blk, o = x_buf[head], r_buf[head], qv[..., blk, :], out[..., blk, :]
+
+        def forward_part(part):
+            probs(q_blk[part], keyed(kt, part), x[part], r[part])
+            np.matmul(x[part], keyed(vv, part), out=o[part])
+
+        _pool.run(forward_part, halves(blk))
 
     def backward_fn(g):
         gq = np.empty_like(qv) if qn is not None else None
-        vt = np.swapaxes(vv, -1, -2)
         p_buf, gp_buf, t_buf = (np.empty(block_shape) for _ in range(3))
         r_buf = np.empty(row_shape)
         for blk in blocks:
             head = np.s_[..., :blk.stop - blk.start, :]
             p, gp, t, dot = p_buf[head], gp_buf[head], t_buf[head], r_buf[head]
-            probs(blk, p, dot)
-            g_blk = g[..., blk, :]
+            q_blk, g_blk = qv[..., blk, :], g[..., blk, :]
+
+            def backward_part(part):
+                pp, gpp, tp, dotp = p[part], gp[part], t[part], dot[part]
+                probs(q_blk[part], keyed(kt, part), pp, dotp)
+                np.matmul(g_blk[part], keyed(vt, part), out=gpp)
+                np.multiply(gpp, pp, out=tp)
+                np.sum(tp, axis=-1, keepdims=True, out=dotp)
+                # gl = (gp - dot) * p * scale, built in gp
+                np.subtract(gpp, dotp, out=gpp)
+                np.multiply(gpp, pp, out=gpp)
+                np.multiply(gpp, scale, out=gpp)
+                if gq is not None:
+                    np.matmul(gpp, keyed(kv, part), out=gq[..., blk, :][part])
+
+            _pool.run(backward_part, halves(blk))
             if vn is not None:
-                _accum(vn, np.swapaxes(p, -1, -2) @ g_blk)
-            np.matmul(g_blk, vt, out=gp)
-            np.multiply(gp, p, out=t)
-            np.sum(t, axis=-1, keepdims=True, out=dot)
-            # gl = (gp - dot) * p * scale, built in gp
-            np.subtract(gp, dot, out=gp)
-            np.multiply(gp, p, out=gp)
-            np.multiply(gp, scale, out=gp)
-            if gq is not None:
-                gq[..., blk, :] = gp @ kv
+                _accum(vn, _product(np.swapaxes(p, -1, -2), g_blk))
             if kn is not None:
-                q_blk = qv[..., blk, :]
-                _accum(kn, np.swapaxes(np.swapaxes(q_blk, -1, -2) @ gp, -1, -2))
+                _accum(kn, np.swapaxes(_product(np.swapaxes(q_blk, -1, -2), gp), -1, -2))
         if gq is not None:
             _accum(qn, gq)
 

@@ -8,9 +8,9 @@ the caller drops is freed at once unless a backward reads it.
 
 Each closure captures, at forward time, exactly the arrays its backward
 reads (matmul one operand's value only when the other needs a gradient,
-mul and div their operands, attend q, k and v, FN its centroid
-difference, relu its own output, bce its logits) and the nodes of its
-operands, never their Tensors.
+mul its operands, attend q, k and v, FN its centroid difference, relu its
+own output, bce its logits) and the nodes of its operands, never their
+Tensors.
 An interior node whose value some closure saved keeps it as its `data`
 until the node is routed; every other node's `data` is an empty array. So
 a walk over the nodes summing `data.nbytes` counts each saved intermediate
@@ -40,6 +40,8 @@ import contextvars
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import _pool
 
 
 class ShapeError(ValueError):
@@ -150,9 +152,6 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, as_tensor(other))
 
-    def __truediv__(self, other):
-        return div(self, as_tensor(other))
-
     def __matmul__(self, other):
         return matmul(self, as_tensor(other))
 
@@ -259,21 +258,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward_fn, "mul")
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data / b.data
-    an, bn = a._node, b._node
-    av = _save(a) if bn is not None else None
-    bv = _save(b)
-
-    def backward_fn(g):
-        if an is not None:
-            _accum(an, g / bv)
-        if bn is not None:
-            _accum(bn, -g * av / (bv * bv))
-
-    return _make(data, (a, b), backward_fn, "div")
-
-
 def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
     an = a._node
@@ -295,24 +279,40 @@ def sigmoid_data(x: np.ndarray) -> np.ndarray:
 # shape ops -------------------------------------------------------------
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b. A large product is two halves along a's leading axis, one per
+    thread (_pool): row blocks of a 2-D a, or sets of a stack over a shared
+    or equally stacked b. Each half is the same BLAS call on fewer rows, or
+    the same calls on fewer sets, so its bits are the whole product's."""
+    if b.ndim > 2 and b.shape[:-2] != a.shape[:-2]:
+        return a @ b
+    out = np.empty(a.shape[:-1] + b.shape[-1:])
+
+    def half(rows):
+        np.matmul(a[rows], b if b.ndim == 2 else b[rows], out=out[rows])
+
+    _pool.run(half, _pool.parts(a.shape[0], out.size * a.shape[-1]))
+    return out
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
-    data = a.data @ b.data
+    data = _product(a.data, b.data)
     an, bn = a._node, b._node
     av = _save(a) if bn is not None else None
     bv = _save(b) if an is not None else None
 
     def backward_fn(g):
         if an is not None:
-            _accum(an, g @ np.swapaxes(bv, -1, -2))
+            _accum(an, _product(g, np.swapaxes(bv, -1, -2)))
         if bn is not None:
-            if len(bn.shape) == 2 and g.ndim > 2 and av.shape[:-1] == g.shape[:-1]:
-                # Batched stack times shared matrix: one flat product instead
-                # of a batched one reduced afterwards.
+            if len(bn.shape) == 2 and av.shape[:-1] == g.shape[:-1]:
+                # A shared matrix: one flat product over every row of the
+                # stack instead of a batched one reduced afterwards.
                 ga = av.reshape(-1, av.shape[-1])
                 gg = g.reshape(-1, g.shape[-1])
-                _accum(bn, ga.T @ gg)
+                _accum(bn, _product(ga.T, gg))
             else:
                 _accum(bn, np.swapaxes(av, -1, -2) @ g)
 

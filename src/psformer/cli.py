@@ -16,7 +16,8 @@ import sys
 
 import numpy as np
 
-from ._kernels import fps_indices, nearest_index
+from . import _pool
+from ._kernels import ACTIVE_BACKEND, fps_indices, nearest_index
 from .autodiff import ContractError, bce_with_logits, grad_check, no_grad
 from .checkpoint import (CheckpointError, model_from_checkpoint,
                          save_checkpoint)
@@ -54,6 +55,13 @@ def _setup_logging() -> None:
     log.setLevel(_LOG_LEVELS[name])
 
 
+def _log_environment() -> None:
+    """One key=value line on what computes: the kernel backend, numpy, and
+    the worker threads psformer adds to the caller's (_pool)."""
+    log.info("backend=%s numpy=%s workers=%d", ACTIVE_BACKEND, np.__version__,
+             _pool.WORKERS)
+
+
 def _config_from(path: str | None) -> ModelConfig:
     return load_config(path) if path else ModelConfig.default()
 
@@ -82,6 +90,7 @@ def _load_scene_dir(path: str) -> list:
 
 def cmd_train(config_path: str | None, out_dir: str, seed: int | None = None,
               resume: str | None = None, ablate: str | None = None) -> int:
+    _log_environment()
     cfg = _config_from(config_path)
     if seed is not None:
         cfg.model.seed = seed
@@ -211,6 +220,7 @@ def predict_cloud(model: PSFormer, cloud: PointCloud) -> np.ndarray:
 
 
 def cmd_predict(checkpoint_path: str, ply_in: str, ply_out: str) -> int:
+    _log_environment()
     model, _, _ = model_from_checkpoint(checkpoint_path)
     cloud = parse_ply(ply_in)
     probs = predict_cloud(model, cloud)

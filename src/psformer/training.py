@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _pool
 from .autodiff import ContractError, Tensor, backward, bce_with_logits, no_grad
 from .config import ABLATION_FLAGS, DataSection, ModelConfig
 from .metrics import MetricsReport, adaptive_threshold, average_reports, clamp_threshold, evaluate
@@ -36,18 +37,55 @@ class Adam(object):
             p.grad = None
 
     def step(self) -> None:
+        """One update of every parameter, after checking every gradient's
+        shape. The moments are updated in place; each parameter gets a new
+        array. A large model's parameters are updated in two groups of about
+        equal size, one per thread (_pool), with every array a group writes
+        allocated here, on the calling thread. Each parameter's arithmetic
+        is the textbook expression's, op for op."""
+        items = list(self.params.items())
+        for k, p in items:
+            if p.grad is not None and p.grad.shape != p.data.shape:
+                raise ContractError(
+                    f"Adam: gradient shape {p.grad.shape} != parameter shape "
+                    f"{p.data.shape} for {k}")
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for k, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if g.shape != p.data.shape:
-                raise ContractError(
-                    f"Adam: gradient shape {g.shape} != parameter shape "
-                    f"{p.data.shape} for {k}")
-            m = self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            v = self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
-            p.data = p.data - self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        # the first group ends where the running size reaches half the total
+        sizes = np.cumsum([0] + [p.data.size for _, p in items])
+        groups = _pool.parts(len(items), int(sizes[-1]),
+                             at=int(np.searchsorted(sizes, sizes[-1] / 2)))
+        jobs = [([(k, p, np.empty_like(p.data)) for k, p in items[group]],
+                 np.empty(max((p.data.size for _, p in items[group]), default=0)))
+                for group in groups]
+
+        def update(job):
+            params, scratch = job
+            for k, p, new in params:
+                g = p.grad if p.grad is not None else np.zeros_like(p.data)
+                m, v = self.m[k], self.v[k]
+                s = scratch[:new.size].reshape(new.shape)
+                # m = beta1 * m + (1 - beta1) * g
+                np.multiply(g, 1.0 - self.beta1, out=new)
+                np.multiply(m, self.beta1, out=m)
+                np.add(m, new, out=m)
+                # v = beta2 * v + (1 - beta2) * (g * g)
+                np.multiply(g, g, out=new)
+                np.multiply(new, 1.0 - self.beta2, out=new)
+                np.multiply(v, self.beta2, out=v)
+                np.add(v, new, out=v)
+                # p - lr * (m / b1t) / (sqrt(v / b2t) + eps)
+                np.divide(m, b1t, out=new)
+                np.multiply(new, self.lr, out=new)
+                np.divide(v, b2t, out=s)
+                np.sqrt(s, out=s)
+                np.add(s, self.eps, out=s)
+                np.divide(new, s, out=new)
+                np.subtract(p.data, new, out=new)
+                p.data = new
+
+        _pool.run(update, jobs)
 
     def load_state(self, state: dict) -> None:
         if set(state["m"]) != set(self.m) or set(state["v"]) != set(self.v):

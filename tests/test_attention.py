@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from psformer import attention
+from psformer import _pool, attention
 from psformer.attention import (attend, ffn, glorot, init_trans, project_qkv,
                                 trans_block)
 from psformer.autodiff import ShapeError, Tensor, backward, grad_check
@@ -324,16 +324,21 @@ def _attend_node(shape, seed):
 
 
 def test_attend_memory_is_one_block_forward_three_backward(monkeypatch):
-    # 1024 keys in 128-row blocks: eight blocks of 1 MiB each; q, k, v and
-    # the output are 64 KiB each. The slack covers numpy's 64 KiB ufunc
-    # buffer (a broadcast subtract or divide with out=) and Python objects.
-    # Measured: forward 1.13 MiB, backward 3.26 MiB. The allocating body
-    # before block buffers were reused measured 3.13 and 6.25 MiB.
-    shape, rows = (1024, 8), 128
+    # 1024 keys in 256-row blocks: four blocks of 2 MiB each, each split
+    # in two halves that share its buffers; q, k, v and the output are 64
+    # KiB each. The slack covers numpy's 64 KiB ufunc buffer (a broadcast
+    # subtract or divide with out=), a second one for the worker thread's
+    # half, and Python objects. Measured at 128-row blocks, before blocks
+    # were split: forward 1.13 MiB, backward 3.26 MiB; the allocating body
+    # before block buffers were reused measured 3.13 and 6.25 MiB. Split,
+    # at 256-row blocks: forward 2.13-2.14 MiB, backward 6.32 MiB.
+    monkeypatch.setattr(_pool, "WORKERS", 1)
+    shape, rows = (1024, 8), 256
     monkeypatch.setattr(attention, "BLOCK_LOGITS", rows * shape[0])
-    assert len(attention._row_blocks(shape, shape[0])) == 8
+    assert len(attention._row_blocks(shape, shape[0])) == 4
+    assert len(_pool.parts(rows, rows * shape[0] * shape[1])) == 2
     q, k, v, g = _attend_node(shape, 16)
-    block, arr, slack = rows * shape[0] * 8, q.data.nbytes, 128 << 10
+    block, arr, slack = rows * shape[0] * 8, q.data.nbytes, (128 + 64) << 10
 
     tracemalloc.start()
     try:
@@ -373,10 +378,18 @@ def test_attend_leaves_inputs_and_earlier_outputs_alone(monkeypatch):
 
 def test_attend_threads_get_sequential_bits(monkeypatch):
     # every call owns its buffers, so concurrent calls cannot see each
-    # other's blocks
-    shape = (3, 64, 8)
-    monkeypatch.setattr(attention, "BLOCK_LOGITS", 8 * math.prod(shape[:-1]))
-    cases = [_attend_node(shape, seed) for seed in (19, 20)]
+    # other's blocks. Each block is above the split floor, so three callers
+    # share the one worker thread: more threads than a two-core machine
+    # has cores, and no caller may wait on another's half.
+    monkeypatch.setattr(_pool, "WORKERS", 1)
+    monkeypatch.setattr(attention, "BLOCK_LOGITS", 1 << 18)
+    for shape, n_split in (((4, 512, 8), 4), ((1024, 32), 256)):
+        blocks = attention._row_blocks(shape, shape[-2])
+        rows = blocks[0].stop
+        assert len(blocks) == 4
+        assert len(_pool.parts(n_split, math.prod(shape[:-2]) * rows * shape[-2] * shape[-1])) == 2
+    cases = [_attend_node(shape, seed)
+             for shape, seed in (((4, 512, 8), 19), ((1024, 32), 20), ((1024, 32), 23))]
 
     def run(q, k, v, g):
         ts = [Tensor(t.data, requires_grad=True) for t in (q, k, v)]

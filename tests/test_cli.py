@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from psformer import _kernels, _pool
 from psformer.autodiff import ContractError
 from psformer.checkpoint import model_from_checkpoint, save_checkpoint
 from psformer.cli import cmd_gradcheck, main, predict_cloud
@@ -308,6 +309,30 @@ def test_predict_writes_heatmap(tmp_path, capsys):
     assert np.array_equal(np.round(heat.colors[:, 0] * 255),
                           np.round(255 * probs))
     assert np.all(heat.colors[:, 1] == 0)
+
+
+def _environment_line(err: str) -> dict:
+    """The key=value pairs of the first line a command logged."""
+    level, *pairs = err.splitlines()[0].split()
+    assert level == "INFO"
+    return dict(pair.split("=", 1) for pair in pairs)
+
+
+def test_train_and_predict_log_the_environment_first(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PSF_LOG_LEVEL", "info")
+    want = {"backend": _kernels.ACTIVE_BACKEND, "numpy": np.__version__,
+            "workers": str(_pool.WORKERS)}
+    cfg = _write_config(tmp_path)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert _environment_line(capsys.readouterr().err) == want
+
+    scenes = tmp_path / "scenes"
+    assert main(["gen-data", "--config", cfg, "--out", str(scenes), "--count", "1"]) == 0
+    capsys.readouterr()
+    ckpt, _ = _tiny_checkpoint(tmp_path)
+    assert main(["predict", str(scenes / "scene_0000.ply"), "--checkpoint", ckpt,
+                 "--out", str(tmp_path / "heat.ply")]) == 0
+    assert _environment_line(capsys.readouterr().err) == want
 
 
 def test_predict_cloud_one_patch_is_forward():

@@ -1,12 +1,12 @@
 """The unfused op graphs that attention.attend and featurenorm.fn_apply
 replace, kept as the references those ops are checked against: softmax, a
-swap of the last two axes and sqrt as separate autodiff nodes, the
+swap of the last two axes, sqrt and div as separate autodiff nodes, the
 plain-array softmax they are built on, and FN composed from sub, mul, mean,
 sqrt and div. The model itself never builds them."""
 
 import numpy as np
 
-from psformer.autodiff import ShapeError, Tensor, _accum, _make
+from psformer.autodiff import ShapeError, Tensor, _accum, _make, _save
 from psformer.featurenorm import EPS, FNParams
 
 
@@ -52,6 +52,21 @@ def sqrt(a: Tensor) -> Tensor:
     return _make(data, (a,), backward_fn, "sqrt", reads_output=True)
 
 
+def div(a: Tensor, b: Tensor) -> Tensor:
+    data = a.data / b.data
+    an, bn = a._node, b._node
+    av = _save(a) if bn is not None else None
+    bv = _save(b)
+
+    def backward_fn(g):
+        if an is not None:
+            _accum(an, g / bv)
+        if bn is not None:
+            _accum(bn, -g * av / (bv * bv))
+
+    return _make(data, (a, b), backward_fn, "div")
+
+
 def fn_apply(members: Tensor, centroids: Tensor, params: FNParams) -> Tensor:
     """alpha * (f_ij - f_i) / (sigma + EPS) + beta as a graph of elementwise
     ops, sigma the root mean square of the centroid difference. The
@@ -61,4 +76,4 @@ def fn_apply(members: Tensor, centroids: Tensor, params: FNParams) -> Tensor:
     sigma_diff = members - centroids.reshape(m, 1, d)
     sigma = sqrt((sigma_diff * sigma_diff).mean())
     diff = members - centroids.reshape(m, 1, d)
-    return params.alpha * (diff / (sigma + EPS)) + params.beta
+    return params.alpha * div(diff, sigma + EPS) + params.beta
