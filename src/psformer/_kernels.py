@@ -6,14 +6,14 @@ permutation: ball query and 3-NN order candidates by (distance, index), FPS
 breaks ties lexicographically by coordinates and then by index.
 
 The kernels are plain numpy and have one selection rule: the first argmin or
-argmax over an order fixed up front. Ball query and 3-NN share one k-nearest
-search (`_nearest`), which takes argmin k times per block of distance rows
-and sets each pick to inf; argmin's first minimum is the lowest index among
-equal distances. FPS sorts the points by (x, y, z, index) once and runs on
-that order, so argmax's first maximum is the tie rule. Distances come in
-blocks of rows of at most BLOCK_PAIRS entries (`_d2_blocks`), so no (M, N)
-matrix is ever held. The block size changes only how much is computed at
-once, never the result.
+argmax over an order fixed up front. Ball query, 3-NN and nearest_index
+share one k-nearest search (`_nearest`), which takes argmin k times per
+block of distance rows and sets each pick to inf; argmin's first minimum is
+the lowest index among equal distances. FPS sorts the points by (x, y, z,
+index) once and runs on that order, so argmax's first maximum is the tie
+rule. Distances come in blocks of rows of at most BLOCK_PAIRS entries
+(`_d2_blocks`), so no (M, N) matrix is ever held. The block size changes
+only how much is computed at once, never the result.
 """
 
 from __future__ import annotations
@@ -52,17 +52,6 @@ def _d2_blocks(a: np.ndarray, b: np.ndarray):
             np.multiply(t, t, out=t)
             np.add(d2, t, out=d2)
         yield lo, hi, d2
-
-
-def nearest_index(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Index of the nearest target for every point; ties go to the lowest
-    index. Memory stays at one distance block whatever the point count."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    targets = np.ascontiguousarray(targets, dtype=np.float64)
-    out = np.empty(points.shape[0], dtype=np.int64)
-    for lo, hi, d2 in _d2_blocks(points, targets):
-        d2.argmin(axis=1, out=out[lo:hi])
-    return out
 
 
 # farthest point sampling -------------------------------------------------
@@ -111,15 +100,15 @@ def fps_indices(coords: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-# k nearest: ball query and 3-NN -------------------------------------------
+# k nearest: nearest_index, ball query and 3-NN ---------------------------
 
 
-def _nearest(dst: np.ndarray, src: np.ndarray, k: int):
-    """Indices and squared distances of the min(k, len(src)) nearest sources
-    per destination, each row in (distance, index) order."""
+def _nearest(dst: np.ndarray, src: np.ndarray, k: int, dists: bool = True):
+    """Indices and squared distances (None unless dists) of the min(k, len(src))
+    nearest sources per destination, each row in (distance, index) order."""
     kk = min(k, src.shape[0])
     idx = np.empty((dst.shape[0], kk), dtype=np.int64)
-    dsel = np.empty((dst.shape[0], kk))
+    dsel = np.empty((dst.shape[0], kk)) if dists else None
     for lo, hi, d2 in _d2_blocks(dst, src):
         rows = np.arange(hi - lo)
         for s in range(kk):
@@ -128,10 +117,19 @@ def _nearest(dst: np.ndarray, src: np.ndarray, k: int):
             # finite for coordinates within about 1e153.
             j = d2.argmin(axis=1)
             idx[lo:hi, s] = j
-            dsel[lo:hi, s] = d2[rows, j]
+            if dists:
+                dsel[lo:hi, s] = d2[rows, j]
             if s + 1 < kk:
                 d2[rows, j] = np.inf
     return idx, dsel
+
+
+def nearest_index(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Index of the nearest target for every point; ties go to the lowest
+    index. Memory stays at one distance block whatever the point count."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    targets = np.ascontiguousarray(targets, dtype=np.float64)
+    return _nearest(points, targets, 1, dists=False)[0][:, 0]
 
 
 def ball_query(coords: np.ndarray, centroid_idx: np.ndarray, radius: float, k: int):

@@ -43,10 +43,6 @@ class TransParams:
     ffn_w2: Tensor  # (2d, d)
     ffn_b2: Tensor  # (d,)
 
-    @property
-    def d_in(self) -> int:
-        return self.w_q.shape[0]
-
     def named(self, prefix: str) -> dict:
         return {
             f"{prefix}.wq": self.w_q, f"{prefix}.wk": self.w_k, f"{prefix}.wv": self.w_v,
@@ -81,9 +77,6 @@ def init_trans(rng: np.random.Generator, d: int) -> TransParams:
 
 
 def project_qkv(f: Tensor, params: TransParams):
-    if f.shape[-1] != params.d_in:
-        raise ShapeError(
-            f"project_qkv: features have width {f.shape[-1]}, params expect {params.d_in}")
     return f @ params.w_q, f @ params.w_k, f @ params.w_v
 
 

@@ -1,5 +1,9 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
+The ops are those the model builds, in the forms it passes them: matmul
+by a weight matrix, concat on the last axis, no whole-tensor reductions.
+Forms that only tests build are in tests/unfused_ops.py.
+
 A Tensor is a value; a tracked Tensor also points at its graph Node. A node
 holds what backward needs and nothing else: the gradient, its parents'
 nodes, the closure that routes its gradient to them, the op's name and the
@@ -28,10 +32,9 @@ no_grad(), which holds in the calling thread only, get no node.
 
 Gradients are values: no code writes an array it was handed, so none copies
 one for protection. A closure may pass its incoming gradient, or a view of
-it, straight on (add, sub's left operand, reshape, concat, sum's read-only
-broadcast), and one array may then be the gradient of several nodes; a
-later gradient is summed out of place. A `.grad` is read, never written in
-place.
+it, straight on (add, sub's left operand, reshape, concat), and one array
+may then be the gradient of several nodes; a later gradient is summed out
+of place. A `.grad` is read, never written in place.
 """
 
 from __future__ import annotations
@@ -158,12 +161,6 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         return reshape(self, shape)
 
-    def sum(self) -> "Tensor":
-        return tsum(self)
-
-    def mean(self) -> "Tensor":
-        return tmean(self)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -280,12 +277,10 @@ def sigmoid_data(x: np.ndarray) -> np.ndarray:
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b. A large product is two halves along a's leading axis, one per
-    thread (_pool): row blocks of a 2-D a, or sets of a stack over a shared
-    or equally stacked b. Each half is the same BLAS call on fewer rows, or
-    the same calls on fewer sets, so its bits are the whole product's."""
-    if b.ndim > 2 and b.shape[:-2] != a.shape[:-2]:
-        return a @ b
+    """a @ b, for a 2-D b or stacks a and b of equal leading shape. A large
+    product is two halves along a's leading axis, one per thread (_pool).
+    Each half is the same BLAS calls on fewer rows of a 2-D a or fewer sets
+    of a stack, so its bits are the whole product's."""
     out = np.empty(a.shape[:-1] + b.shape[-1:])
 
     def half(rows):
@@ -295,28 +290,25 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
-    data = _product(a.data, b.data)
-    an, bn = a._node, b._node
-    av = _save(a) if bn is not None else None
-    bv = _save(b) if an is not None else None
+def matmul(a: Tensor, w: Tensor) -> Tensor:
+    """a @ w for an (..., n) tensor a and an (n, m) weight matrix w; any
+    other w raises ShapeError. w's gradient is one flat product over every
+    row of the stack."""
+    if a.ndim < 2 or w.ndim != 2 or a.shape[-1] != w.shape[0]:
+        raise ShapeError(f"matmul shapes incompatible: {a.shape} x {w.shape}")
+    data = _product(a.data, w.data)
+    an, wn = a._node, w._node
+    av = _save(a) if wn is not None else None
+    wv = _save(w) if an is not None else None
 
     def backward_fn(g):
         if an is not None:
-            _accum(an, _product(g, np.swapaxes(bv, -1, -2)))
-        if bn is not None:
-            if len(bn.shape) == 2 and av.shape[:-1] == g.shape[:-1]:
-                # A shared matrix: one flat product over every row of the
-                # stack instead of a batched one reduced afterwards.
-                ga = av.reshape(-1, av.shape[-1])
-                gg = g.reshape(-1, g.shape[-1])
-                _accum(bn, _product(ga.T, gg))
-            else:
-                _accum(bn, np.swapaxes(av, -1, -2) @ g)
+            _accum(an, _product(g, wv.T))
+        if wn is not None:
+            _accum(wn, _product(av.reshape(-1, av.shape[-1]).T,
+                                g.reshape(-1, g.shape[-1])))
 
-    return _make(data, (a, b), backward_fn, "matmul")
+    return _make(data, (a, w), backward_fn, "matmul")
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -329,26 +321,19 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     return _make(data, (a,), backward_fn, "reshape")
 
 
-def concat(tensors: list, axis: int = -1) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat needs at least one tensor")
-    first = tensors[0].data.shape
-    ax = axis if axis >= 0 else tensors[0].data.ndim + axis
-    for t in tensors[1:]:
-        s = t.data.shape
-        if len(s) != len(first) or any(
-                i != ax and s[i] != first[i] for i in range(len(s))):
-            raise ShapeError(f"concat shapes {first} and {s} differ off axis {axis}")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
+def concat(tensors: list) -> Tensor:
+    """Join tensors on the last axis; every other axis must agree."""
+    shapes = [t.shape for t in tensors]
+    if any(s[:-1] != shapes[0][:-1] for s in shapes):
+        raise ShapeError(f"concat shapes {shapes} differ off the last axis")
+    data = np.concatenate([t.data for t in tensors], axis=-1)
+    sizes = [s[-1] for s in shapes]
     nodes = [t._node for t in tensors]
 
     def backward_fn(g):
         offsets = np.cumsum([0] + sizes)
         for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accum(node, g[tuple(idx)])
+            _accum(node, g[..., lo:hi])
 
     return _make(data, tensors, backward_fn, "concat")
 
@@ -368,21 +353,6 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 
 
 # reductions ------------------------------------------------------------
-
-
-def tsum(a: Tensor) -> Tensor:
-    """Sum of every element, a scalar."""
-    an = a._node
-
-    def backward_fn(g):
-        _accum(an, np.broadcast_to(g, an.shape))
-
-    return _make(a.data.sum(), (a,), backward_fn, "sum")
-
-
-def tmean(a: Tensor) -> Tensor:
-    """Mean of every element, a scalar: the sum times 1/size."""
-    return mul(tsum(a), Tensor(1.0 / float(a.data.size)))
 
 
 def group_max_pool(a: Tensor, valid_counts) -> Tensor:

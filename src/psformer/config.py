@@ -9,6 +9,7 @@ the 9 input channels to the level-1 width.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 N_LEVELS = 5
@@ -164,6 +165,11 @@ class ModelConfig:
     def validate(self) -> "ModelConfig":
         if len(self.levels) != N_LEVELS:
             raise ConfigError(f"need exactly {N_LEVELS} levels, got {len(self.levels)}")
+        for section, target in _sections(self).items():
+            for f in fields(target):
+                value = getattr(target, f.name)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(f"{section}.{f.name} must be finite, got {value}")
         for i, lv in enumerate(self.levels, start=1):
             if lv.m < 1 or lv.k < 1 or lv.d_out < 1:
                 raise ConfigError(f"level{i}: m, k, d_out must be positive")
@@ -195,6 +201,9 @@ class ModelConfig:
                 f"point count {self.levels[0].m}")
         if self.data.regime not in ("default", "small", "multi"):
             raise ConfigError(f"data.regime must be default|small|multi, got {self.data.regime!r}")
+        d = self.data.dir
+        if "#" in d or d != d.strip() or len(d.splitlines()) > 1:
+            raise ConfigError(f"data.dir {d!r} cannot hold a '#', a line break or edge blanks")
         if self.train.epochs < 0:
             raise ConfigError("train.epochs must be >= 0")
         return self

@@ -18,7 +18,6 @@ import numpy as np
 from .attention import TransParams, glorot, init_trans, trans_block
 from .autodiff import (
     ContractError,
-    ShapeError,
     Tensor,
     concat,
     gather_rows,
@@ -117,12 +116,7 @@ def ut_block(upper: Tensor, skip: Tensor, params: UTParams, interp: tuple) -> Te
     skip's points (_kernels.three_nn, as PSFormer.build_geometry makes it)."""
     idx, w = interp
     up = interp_apply(upper, idx, w)
-    cat = concat([up, skip], axis=-1)
-    if cat.shape[-1] != params.fuse_w.shape[0]:
-        raise ShapeError(
-            f"ut_block: concatenated width {cat.shape[-1]} does not match "
-            f"fuse weights {params.fuse_w.shape}")
-    fused = cat @ params.fuse_w + params.fuse_b
+    fused = concat([up, skip]) @ params.fuse_w + params.fuse_b
     if params.trans is not None:
         fused = trans_block(fused, params.trans)
     return fused
@@ -158,7 +152,7 @@ def mca(levels, params: MCAParams) -> Tensor:
     for level, w, b in zip(levels, params.w, params.b):
         h = relu(level @ w + b)
         pieces.append(group_max_pool(h.reshape(1, *h.shape), [h.shape[0]]))
-    return concat(pieces, axis=-1).reshape(-1)
+    return concat(pieces).reshape(-1)
 
 
 def predict_head(point_features: Tensor, context: Tensor | None,
@@ -171,11 +165,7 @@ def predict_head(point_features: Tensor, context: Tensor | None,
     if context is not None:
         ctx_rows = gather_rows(context.reshape(1, context.shape[0]),
                                np.zeros(n, dtype=np.int64))
-        f = concat([f, ctx_rows], axis=-1)
-    if f.shape[-1] != params.w1.shape[0]:
-        raise ShapeError(
-            f"predict_head: input width {f.shape[-1]} does not match head "
-            f"weights {params.w1.shape}")
+        f = concat([f, ctx_rows])
     h = relu(f @ params.w1 + params.b1)
     logits = (h @ params.w2 + params.b2).reshape(n)
     return SaliencyPrediction(logits=logits, probabilities=sigmoid_data(logits.data))

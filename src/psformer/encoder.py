@@ -90,7 +90,7 @@ def pct_block(coords: np.ndarray, features: Tensor, geometry: LevelGeometry,
     ctr_idx, nb_idx = geometry.centroid_idx, geometry.neighbor_idx
 
     def lift(x: Tensor, offsets: np.ndarray) -> Tensor:
-        y = concat([x, Tensor(offsets)], axis=-1) @ params.lift_w
+        y = concat([x, Tensor(offsets)]) @ params.lift_w
         return y if params.lift_b is None else y + params.lift_b
 
     members = lift(gather_rows(features, nb_idx),

@@ -13,7 +13,7 @@ from psformer import _pool, attention
 from psformer.attention import (attend, ffn, glorot, init_trans, project_qkv,
                                 trans_block)
 from psformer.autodiff import ShapeError, Tensor, backward, grad_check
-from unfused_ops import softmax, swap_last
+from unfused_ops import bmm, softmax, swap_last, tmean, tsum
 
 mp.mp.dps = 50
 
@@ -57,7 +57,7 @@ def test_attention_rows_sum_to_one():
         s, d = int(rng.integers(1, 8)), int(rng.integers(1, 6))
         q = Tensor(rng.standard_normal((s, d)))
         k = Tensor(rng.standard_normal((s, d)))
-        logits = (q @ swap_last(k)) * Tensor(1.0 / math.sqrt(d))
+        logits = bmm(q, swap_last(k)) * Tensor(1.0 / math.sqrt(d))
         rows = softmax(logits, axis=-1).data.sum(axis=-1)
         assert np.all(np.abs(rows - 1.0) <= 1e-12)
 
@@ -122,7 +122,6 @@ def test_project_qkv_shapes_and_errors():
     params = init_trans(rng, 6)
     q, k, v = project_qkv(Tensor(np.zeros((4, 6))), params)
     assert q.shape == k.shape == v.shape == (4, 6)
-    assert params.d_in == 6
     with pytest.raises(ShapeError):
         project_qkv(Tensor(np.zeros((4, 5))), params)
 
@@ -149,7 +148,7 @@ def test_trans_block_grad_check():
 
     def objective():
         out = trans_block(Tensor(f), params)
-        return (out * out).mean()
+        return tmean(out * out)
 
     report = grad_check(objective, params.named("t"))
     assert report.passed, dict(report.per_param)
@@ -162,7 +161,7 @@ def test_trans_block_batched_grad_check():
 
     def objective():
         out = trans_block(Tensor(f), params)
-        return (out * out).mean()
+        return tmean(out * out)
 
     report = grad_check(objective, params.named("t"))
     assert report.passed, dict(report.per_param)
@@ -173,14 +172,14 @@ def test_trans_block_batched_grad_check():
 def _attend_with_grads(fn, q, k, v, g):
     ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
     out = fn(*ts)
-    backward((out * Tensor(g)).sum())
+    backward(tsum(out * Tensor(g)))
     return out.data, [t.grad for t in ts]
 
 
 def _composed_attend(q, k, v):
     """The unfused op graph attend replaces, as the reference."""
-    logits = (q @ swap_last(k)) * Tensor(1.0 / math.sqrt(q.shape[-1]))
-    return softmax(logits, axis=-1) @ v
+    logits = bmm(q, swap_last(k)) * Tensor(1.0 / math.sqrt(q.shape[-1]))
+    return bmm(softmax(logits, axis=-1), v)
 
 
 @pytest.mark.parametrize("shape", [(40, 6), (5, 7, 3)])
@@ -225,7 +224,7 @@ def test_attend_grad_check_across_block_boundary(monkeypatch, shape):
     rng = np.random.default_rng(14)
     q, k, v = (Tensor(rng.standard_normal(shape), requires_grad=True) for _ in range(3))
     w = Tensor(rng.standard_normal(shape))
-    report = grad_check(lambda: (attend(q, k, v) * w).sum(), {"q": q, "k": k, "v": v})
+    report = grad_check(lambda: tsum(attend(q, k, v) * w), {"q": q, "k": k, "v": v})
     assert report.passed, dict(report.per_param)
 
 

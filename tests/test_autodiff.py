@@ -16,8 +16,8 @@ from psformer.autodiff import (CheckReport, ContractError, ShapeError, Tensor,
                                _accum, _make, backward, bce_with_logits,
                                concat, gather_rows, grad_check, group_max_pool,
                                interp_apply, matmul, no_grad, relu,
-                               sigmoid_data, tmean, tsum)
-from unfused_ops import div, softmax_data, sqrt, swap_last
+                               sigmoid_data)
+from unfused_ops import bmm, div, softmax_data, sqrt, swap_last, tmean, tsum
 
 
 def _matmul_loops(a, b):
@@ -56,13 +56,14 @@ def test_matmul_batched_matches_loop_oracle():
     for _ in range(50):
         g, n, k, m = rng.integers(1, 5, size=4)
         a = rng.standard_normal((g, n, k))
-        b = rng.standard_normal((g, k, m))
-        got = matmul(Tensor(a), Tensor(b)).data
-        assert np.allclose(got, _matmul_loops(a, b), atol=1e-12, rtol=0)
         # batched @ shared 2D weight, the encoder's hot pattern
         w = rng.standard_normal((k, m))
         got = matmul(Tensor(a), Tensor(w)).data
         assert np.allclose(got, _matmul_loops(a, w), atol=1e-12, rtol=0)
+        # the batched product the unfused attention reference takes
+        b = rng.standard_normal((g, k, m))
+        got = bmm(Tensor(a), Tensor(b)).data
+        assert np.allclose(got, _matmul_loops(a, b), atol=1e-12, rtol=0)
 
 
 def test_matmul_shared_weight_backward_matches_loop():
@@ -73,7 +74,7 @@ def test_matmul_shared_weight_backward_matches_loop():
     at, wt = Tensor(a, requires_grad=True), Tensor(w, requires_grad=True)
     out = matmul(at, wt)
     g = rng.standard_normal(out.shape)
-    backward((out * Tensor(g)).sum())
+    backward(tsum(out * Tensor(g)))
 
     gw = np.zeros_like(w)
     ga = np.zeros_like(a)
@@ -85,8 +86,13 @@ def test_matmul_shared_weight_backward_matches_loop():
 
 
 def test_matmul_shape_error():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"\(2, 3\) x \(4, 2\)"):
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+    # the right operand is a weight matrix, never a stack
+    with pytest.raises(ShapeError):
+        matmul(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 3, 4))))
+    with pytest.raises(ShapeError):
+        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
 
 
 def test_softmax_matches_extended_precision():
@@ -148,7 +154,7 @@ def test_backward_product_closed_form():
     rng = np.random.default_rng(5)
     x = Tensor(rng.standard_normal(6), requires_grad=True)
     y = Tensor(rng.standard_normal(6), requires_grad=True)
-    backward((x * y + x).sum())
+    backward(tsum(x * y + x))
     assert np.allclose(x.grad, y.data + 1.0, atol=1e-15, rtol=0)
     assert np.allclose(y.grad, x.data, atol=1e-15, rtol=0)
 
@@ -165,7 +171,7 @@ def test_backward_never_writes_a_gradient_the_caller_set():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     given = np.array([10.0, 20.0, 30.0])
     x.grad = given
-    backward((x * Tensor(2.0)).sum())
+    backward(tsum(x * Tensor(2.0)))
     assert np.array_equal(x.grad, [12.0, 22.0, 32.0])
     assert np.array_equal(given, [10.0, 20.0, 30.0])
 
@@ -184,12 +190,12 @@ def test_zero_dim_gradients_are_arrays():
 
 def test_backward_div_sqrt_closed_forms():
     x = Tensor([4.0, 9.0], requires_grad=True)
-    backward(sqrt(x).sum())
+    backward(tsum(sqrt(x)))
     assert np.allclose(x.grad, 0.5 / np.sqrt(x.data), atol=1e-15, rtol=0)
 
     a = Tensor([1.0, 2.0], requires_grad=True)
     b = Tensor([4.0, 5.0], requires_grad=True)
-    backward(div(a, b).sum())
+    backward(tsum(div(a, b)))
     assert np.allclose(a.grad, 1.0 / b.data, atol=1e-15, rtol=0)
     assert np.allclose(b.grad, -a.data / b.data ** 2, atol=1e-15, rtol=0)
 
@@ -197,13 +203,13 @@ def test_backward_div_sqrt_closed_forms():
 def test_backward_broadcast_unbroadcasts():
     a = Tensor(np.ones((3, 4)), requires_grad=True)
     b = Tensor(np.ones(4), requires_grad=True)
-    backward((a + b).sum())
+    backward(tsum(a + b))
     assert a.grad.shape == (3, 4)
     assert b.grad.shape == (4,)
     assert np.all(b.grad == 3.0)
 
     s = Tensor(2.0, requires_grad=True)
-    backward((Tensor(np.ones((2, 5))) * s).sum())
+    backward(tsum(Tensor(np.ones((2, 5))) * s))
     assert s.grad.shape == ()
     assert s.grad == 10.0
 
@@ -214,12 +220,12 @@ def test_backward_broadcast_unbroadcasts():
     for shape in ((4,), (1, 4)):
         y = Tensor(rng.uniform(1.0, 2.0, shape), requires_grad=True)
         x.grad = None
-        backward((x - y).sum())
+        backward(tsum(x - y))
         assert y.grad.shape == shape
         assert np.all(x.grad == 1.0) and np.all(y.grad == -3.0)
 
         x.grad = y.grad = None
-        backward(div(x, y).sum())
+        backward(tsum(div(x, y)))
         assert y.grad.shape == shape
         assert np.allclose(x.grad, np.broadcast_to(1.0 / y.data, (3, 4)),
                            atol=1e-15, rtol=0)
@@ -229,15 +235,15 @@ def test_backward_broadcast_unbroadcasts():
     # a () divisor
     d = Tensor(4.0, requires_grad=True)
     x.grad = None
-    backward(div(x, d).sum())
+    backward(tsum(div(x, d)))
     assert d.grad.shape == ()
     assert np.allclose(d.grad, -x.data.sum() / 16.0, atol=1e-14, rtol=0)
     assert np.all(x.grad == 0.25)
 
-    # a batched matmul whose right operand broadcasts over the batch
+    # a batched product whose right operand broadcasts over the batch
     a3 = Tensor(rng.standard_normal((3, 2, 4)), requires_grad=True)
     b3 = Tensor(rng.standard_normal((1, 4, 5)), requires_grad=True)
-    backward(matmul(a3, b3).sum())
+    backward(tsum(bmm(a3, b3)))
     assert a3.grad.shape == (3, 2, 4) and b3.grad.shape == (1, 4, 5)
     # d/dA sum(A B) = 1 Bᵀ: each row of A gets B's row sums
     assert np.allclose(a3.grad, np.broadcast_to(b3.data[0].sum(axis=1), (3, 2, 4)),
@@ -250,7 +256,7 @@ def test_backward_broadcast_unbroadcasts():
 
 def test_relu_gradient_gate():
     x = Tensor([-2.0, -0.5, 0.5, 3.0], requires_grad=True)
-    backward(relu(x).sum())
+    backward(tsum(relu(x)))
     assert np.array_equal(x.grad, [0.0, 0.0, 1.0, 1.0])
 
 
@@ -262,7 +268,7 @@ def test_relu_output_mask_matches_input_mask():
                   np.inf, -np.inf])
     g = np.array([1.0, -2.0, 3.0, -4.0, 5.0, -6.0, 7.0, -8.0, 9.0, -10.0])
     t = Tensor(x, requires_grad=True)
-    backward((relu(t) * Tensor(g)).sum())
+    backward(tsum(relu(t) * Tensor(g)))
     want = g * (x > 0.0)
     assert np.array_equal(t.grad, want)
     assert np.array_equal(np.signbit(t.grad), np.signbit(want))
@@ -286,7 +292,7 @@ def test_graph_keeps_only_the_arrays_backward_reads():
     w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     pre = matmul(x, w) + Tensor(np.ones(3))   # add reads no operand
     out = relu(pre)                           # relu reads its own output
-    loss = (out * Tensor(2.0)).sum()
+    loss = tsum(out * Tensor(2.0))
     pre_ref, out_ref = weakref.ref(pre.data), weakref.ref(out.data)
     del pre, out
     gc.collect()
@@ -307,7 +313,7 @@ def test_backward_frees_each_routed_node_and_keeps_leaf_and_loss_grads():
     x = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
     w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
     h = relu(matmul(x, w))
-    loss = (h * h).mean()
+    loss = tmean(h * h)
     nodes = _nodes(loss)
     assert any(n.data.size for n in nodes)
     backward(loss)
@@ -323,14 +329,14 @@ def test_backward_frees_each_routed_node_and_keeps_leaf_and_loss_grads():
 def test_second_backward_through_a_routed_graph_raises():
     x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
     h = x * x
-    loss = relu(h).sum()
+    loss = tsum(relu(h))
     backward(loss)
     first = x.grad.copy()
     with pytest.raises(ContractError, match="sum node"):
         backward(loss)
     # a new loss on a routed intermediate names that intermediate's op
     with pytest.raises(ContractError, match="mul node"):
-        backward((h * Tensor(2.0)).sum())
+        backward(tsum(h * Tensor(2.0)))
     assert np.array_equal(x.grad, first)    # nothing routed twice
     assert loss.grad == 1.0
 
@@ -340,7 +346,7 @@ def test_gather_rows_scatter_adds_on_duplicates():
     idx = np.array([0, 2, 0, 0])
     out = gather_rows(a, idx)
     assert np.array_equal(out.data, a.data[idx])
-    backward(out.sum())
+    backward(tsum(out))
     want = np.zeros((4, 3))
     want[0] = 3.0
     want[2] = 1.0
@@ -355,7 +361,7 @@ def test_group_max_pool_valid_mask_and_ties():
     t = Tensor(x, requires_grad=True)
     out = group_max_pool(t, counts)
     assert np.array_equal(out.data, [[2.0, 5.0], [3.0, 4.0]])
-    backward(out.sum())
+    backward(tsum(out))
     # tie in group 1 channel 0 (3.0 twice among valid): first member wins
     assert t.grad[1, 0, 0] == 1.0 and t.grad[1, 1, 0] == 0.0
     assert np.all(t.grad[0, 2] == 0.0)
@@ -379,7 +385,7 @@ def test_group_max_pool_full_count_tie_goes_to_first_member():
     x = Tensor([[[1.0, 4.0], [3.0, 2.0], [3.0, 0.0]]], requires_grad=True)
     out = group_max_pool(x, [3])
     assert np.array_equal(out.data, [[3.0, 4.0]])
-    backward(out.sum())
+    backward(tsum(out))
     # tie in channel 0: the first member at the max gets the gradient
     assert np.array_equal(x.grad, [[[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]])
 
@@ -402,7 +408,7 @@ def test_interp_apply_backward_scatters():
     src = Tensor(np.zeros((3, 2)), requires_grad=True)
     idx = np.array([[0, 0, 1]])
     w = np.array([[0.25, 0.25, 0.5]])
-    backward(interp_apply(src, idx, w).sum())
+    backward(tsum(interp_apply(src, idx, w)))
     assert np.allclose(src.grad, [[0.5, 0.5], [0.5, 0.5], [0.0, 0.0]], atol=1e-15)
 
 
@@ -410,30 +416,30 @@ def test_concat_reshape_swap_last_roundtrip_grads():
     rng = np.random.default_rng(8)
     a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
-    out = concat([a, b], axis=-1)
+    out = concat([a, b])
     assert out.shape == (2, 7)
-    backward((swap_last(out).reshape(14) * Tensor(np.arange(14.0))).sum())
+    backward(tsum(swap_last(out).reshape(14) * Tensor(np.arange(14.0))))
     assert a.grad.shape == (2, 3) and b.grad.shape == (2, 4)
     with pytest.raises(ShapeError):
-        concat([a, Tensor(np.zeros((3, 4)))], axis=-1)
+        concat([a, Tensor(np.zeros((3, 4)))])
 
 
 def test_sum_mean_axes():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     assert tsum(x).item() == 15.0
-    backward(tmean(x).sum())
+    backward(tmean(x))
     assert np.allclose(x.grad, np.full((2, 3), 1.0 / 6.0), atol=1e-15)
 
 
 def test_no_grad_builds_no_graph():
     x = Tensor(np.ones(3), requires_grad=True)
     with no_grad():
-        y = (x * 2.0).sum()
+        y = tsum(x * 2.0)
     assert y._parents == ()
     backward(y)            # detached scalar: nothing flows back
     assert x.grad is None
 
-    z = (x * 2.0).sum()
+    z = tsum(x * 2.0)
     backward(z)
     assert np.all(x.grad == 2.0)
     with pytest.raises(ContractError):
@@ -447,7 +453,7 @@ def test_no_grad_is_confined_to_its_thread():
     seen = {}
 
     def worker():
-        y = (x * 3.0).sum()
+        y = tsum(x * 3.0)
         seen["parents"] = len(y._parents)
         backward(y)
 
@@ -455,12 +461,12 @@ def test_no_grad_is_confined_to_its_thread():
         t = threading.Thread(target=worker)
         t.start()
         t.join(timeout=30)
-        inside = (x * 2.0).sum()
+        inside = tsum(x * 2.0)
     assert not t.is_alive()
     assert seen["parents"] == 1
     assert np.all(x.grad == 3.0)
     assert inside._parents == ()
-    assert (x * 2.0).sum()._parents != ()
+    assert tsum(x * 2.0)._parents != ()
 
 
 def test_grad_check_passes_on_composite():
@@ -471,7 +477,7 @@ def test_grad_check_passes_on_composite():
 
     def f():
         h = relu(matmul(Tensor(x), w) + b)
-        return (h * h).mean()
+        return tmean(h * h)
 
     report = grad_check(f, {"w": w, "b": b})
     assert report.passed, max(report.per_param.items(), key=lambda kv: kv[1])
@@ -484,7 +490,7 @@ def test_grad_check_rejects_nondeterministic_objective():
 
     def f():
         state["n"] += 1.0
-        return (w * state["n"]).sum()
+        return tsum(w * state["n"])
 
     with pytest.raises(ContractError):
         grad_check(f, {"w": w})
@@ -501,7 +507,7 @@ def test_grad_check_leaves_parameters_as_given_when_f_raises():
         calls["n"] += 1
         if calls["n"] == 5:   # the second probe of w's first element
             raise RuntimeError("objective failed")
-        return (w * w).sum() + (b * b).sum()
+        return tsum(w * w) + tsum(b * b)
 
     with pytest.raises(RuntimeError, match="objective failed"):
         grad_check(f, {"w": w, "b": b})
@@ -513,7 +519,7 @@ def test_grad_check_leaves_parameters_as_given_when_f_raises():
 def test_grad_check_step_must_be_positive():
     w = Tensor(np.ones(2), requires_grad=True)
     with pytest.raises(ContractError):
-        grad_check(lambda: w.sum(), {"w": w}, step=0.0)
+        grad_check(lambda: tsum(w), {"w": w}, step=0.0)
 
 
 def test_corrupted_backward_fails_grad_check():
@@ -530,7 +536,7 @@ def test_corrupted_backward_fails_grad_check():
     w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
     x = Tensor(rng.standard_normal((4, 3)))
     for act, passes in ((relu, True), (skewed_relu, False)):
-        report = grad_check(lambda: (act(matmul(x, w)) * act(matmul(x, w))).mean(),
+        report = grad_check(lambda: tmean(act(matmul(x, w)) * act(matmul(x, w))),
                             {"w": w})
         assert bool(report.passed) == passes, (act, report.max_rel_error)
 

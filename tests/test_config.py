@@ -181,6 +181,27 @@ def test_validation_positive_fields():
         parse_config("preset=tiny\noptim.lr=0\n")
 
 
+def test_validation_rejects_non_finite_floats():
+    # each of these parsed before, and a nan radius gave all-NaN predictions
+    for key in ("optim.lr", "level1.radius", "train.target_mae", "model.threshold",
+                "train.target_iou", "optim.eps"):
+        for bad in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=f"{key} must be finite"):
+                parse_config(f"preset=tiny\n{key}={bad}\n")
+
+
+def test_validation_rejects_a_data_dir_the_text_cannot_hold():
+    # "runs/#1/data" would be written to a checkpoint and read back as "runs/"
+    for bad in ("runs/#1/data", "runs/a\nb", "runs/a\rb", " runs", "runs/ ", "\t"):
+        cfg = ModelConfig.tiny()
+        cfg.data.dir = bad
+        with pytest.raises(ConfigError, match="data.dir"):
+            cfg.validate()
+    cfg = ModelConfig.tiny()
+    cfg.data.dir = "runs/scan 1/data"
+    assert parse_config(serialize_config(cfg.validate())).data.dir == cfg.data.dir
+
+
 # ---------------------------------------------------------------- ablation
 
 def test_ablated_flags():

@@ -11,6 +11,7 @@ from psformer.config import LevelSpec
 from psformer.encoder import build_level_geometry, encode_features, init_level, pct_block
 from psformer.featurenorm import EPS, fn_apply
 from psformer.pointcloud import normalize_cloud
+from unfused_ops import tmean
 
 
 def _level(m, radius=0.5, k=4, d_out=6):
@@ -292,9 +293,9 @@ def test_encode_chain_grad_check():
 
     def objective():
         levels = encode_features(cloud.coords, Tensor(feats), params, geoms)
-        total = (levels[0] * levels[0]).mean()
+        total = tmean(levels[0] * levels[0])
         for lv in levels[1:]:
-            total = total + (lv * lv).mean()
+            total = total + tmean(lv * lv)
         return total
 
     report = grad_check(objective, tracked)
@@ -314,7 +315,7 @@ def test_degenerate_level_keeps_gradients_finite():
 
     levels = encode_features(cloud.coords, Tensor(cloud.features9()), params,
                              _chain_geometry(cloud.coords, specs, cloud.extent))
-    loss = (levels[-1] * levels[-1]).mean()
+    loss = tmean(levels[-1] * levels[-1])
     backward(loss)
 
     for i, p in enumerate(params):
@@ -392,7 +393,7 @@ def test_single_level_grad_check():
 
     def objective():
         out = pct_block(cloud.coords, Tensor(feats), geom, params)
-        return (out * out).mean()
+        return tmean(out * out)
 
     report = grad_check(objective, params.named("enc"))
     assert report.passed, {k: v for k, v in report.per_param.items() if v > 1e-4}

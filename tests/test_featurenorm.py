@@ -146,7 +146,7 @@ def test_fn_grad_check():
 
     def objective():
         out = fn_apply(nb, ctr, params)
-        return (out * out).mean()
+        return unfused_ops.tmean(out * out)
 
     tracked = {"alpha": params.alpha, "beta": params.beta, "nb": nb, "ctr": ctr}
     report = grad_check(objective, tracked)
@@ -171,7 +171,7 @@ def test_fused_fn_matches_composed_reference():
         for apply in (fn_apply, unfused_ops.fn_apply):
             tracked = [Tensor(a, requires_grad=True) for a in (nb, ctr, alpha, beta)]
             out = apply(tracked[0], tracked[1], FNParams(tracked[2], tracked[3]))
-            backward((out * weights).sum())
+            backward(unfused_ops.tsum(out * weights))
             runs.append((out.data, [t.grad for t in tracked]))
         (fused, fused_grads), (ref, ref_grads) = runs
         assert np.array_equal(fused, ref), (m, k, d)

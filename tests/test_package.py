@@ -6,6 +6,11 @@ import glob
 import os
 
 import psformer
+from psformer import attention, autodiff, featurenorm
+from psformer.cli import predict_cloud
+from psformer.config import ModelConfig
+from psformer.model import PSFormer
+from psformer.training import eval_model, make_scenes, train_model
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -103,3 +108,31 @@ def test_every_src_definition_is_used_in_src():
               and not any(node.name in _referenced_names(other, skip=node.name)
                           for other in trees.values())]
     assert not unused
+
+
+def test_the_model_builds_every_op_src_defines(monkeypatch):
+    # an op form that only tests build belongs in tests/unfused_ops.py
+    seen = set()
+    make = autodiff._make
+
+    def spy(data, parents, backward_fn, op, **kwargs):
+        seen.add(op)
+        return make(data, parents, backward_fn, op, **kwargs)
+
+    for module in (autodiff, attention, featurenorm):
+        monkeypatch.setattr(module, "_make", spy)
+    cfg = ModelConfig.tiny()
+    model = PSFormer(cfg, seed=0)
+    scenes = make_scenes(cfg.data, 2, seed0=0)
+    train_model(model, scenes, epochs=1)
+    eval_model(model, scenes)
+    predict_cloud(model, scenes[0])
+
+    defined = set()
+    for path in glob.glob(os.path.join(ROOT, "src", "psformer", "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        defined.update(node.args[3].value for node in ast.walk(tree)
+                       if isinstance(node, ast.Call)
+                       and getattr(node.func, "id", None) == "_make")
+    assert seen == defined

@@ -1,13 +1,48 @@
-"""The unfused op graphs that attention.attend and featurenorm.fn_apply
-replace, kept as the references those ops are checked against: softmax, a
+"""Ops the model never builds, kept for the tests: whole-tensor sum and
+mean, which test losses reduce to a scalar with, and the unfused op graphs
+that attention.attend and featurenorm.fn_apply replace, kept as the
+references those ops are checked against: a batched product, softmax, a
 swap of the last two axes, sqrt and div as separate autodiff nodes, the
 plain-array softmax they are built on, and FN composed from sub, mul, mean,
-sqrt and div. The model itself never builds them."""
+sqrt and div."""
 
 import numpy as np
 
-from psformer.autodiff import ShapeError, Tensor, _accum, _make, _save
+from psformer.autodiff import ShapeError, Tensor, _accum, _make, _save, mul
 from psformer.featurenorm import EPS, FNParams
+
+
+def tsum(a: Tensor) -> Tensor:
+    """Sum of every element, a scalar."""
+    an = a._node
+
+    def backward_fn(g):
+        _accum(an, np.broadcast_to(g, an.shape))
+
+    return _make(a.data.sum(), (a,), backward_fn, "sum")
+
+
+def tmean(a: Tensor) -> Tensor:
+    """Mean of every element, a scalar: the sum times 1/size."""
+    return mul(tsum(a), Tensor(1.0 / float(a.data.size)))
+
+
+def bmm(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b over stacks of matrices, broadcast as numpy broadcasts them:
+    the batched product autodiff.matmul, which takes a weight matrix only,
+    does not make."""
+    data = a.data @ b.data
+    an, bn = a._node, b._node
+    av = _save(a) if bn is not None else None
+    bv = _save(b) if an is not None else None
+
+    def backward_fn(g):
+        if an is not None:
+            _accum(an, g @ np.swapaxes(bv, -1, -2))
+        if bn is not None:
+            _accum(bn, np.swapaxes(av, -1, -2) @ g)
+
+    return _make(data, (a, b), backward_fn, "bmm")
 
 
 def softmax_data(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -74,6 +109,6 @@ def fn_apply(members: Tensor, centroids: Tensor, params: FNParams) -> Tensor:
     so each reaches the members and the centroids by its own path."""
     m, _, d = members.shape
     sigma_diff = members - centroids.reshape(m, 1, d)
-    sigma = sqrt((sigma_diff * sigma_diff).mean())
+    sigma = sqrt(tmean(sigma_diff * sigma_diff))
     diff = members - centroids.reshape(m, 1, d)
     return params.alpha * div(diff, sigma + EPS) + params.beta
