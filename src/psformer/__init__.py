@@ -14,7 +14,7 @@ from .autodiff import (
 from .checkpoint import CheckpointError, load_checkpoint, model_from_checkpoint, save_checkpoint
 from .config import ConfigError, ModelConfig, load_config, parse_config, serialize_config
 from .metrics import MetricsReport, evaluate, parse_report, write_report
-from .model import PSFormer, SaliencyPrediction
+from .model import PSFormer
 from .plyio import PlyParseError, parse_ply, write_ply
 from .pointcloud import PointCloud, normalize_cloud
 from .training import Adam, eval_model, gen_synthetic_scene, run_ablation, train_model
@@ -30,7 +30,6 @@ __all__ = [
     "PSFormer",
     "PlyParseError",
     "PointCloud",
-    "SaliencyPrediction",
     "ShapeError",
     "Tensor",
     "backward",

@@ -18,16 +18,16 @@ import numpy as np
 
 from . import _pool
 from ._kernels import ACTIVE_BACKEND, fps_indices, nearest_index
-from .autodiff import ContractError, bce_with_logits, grad_check, no_grad
+from .autodiff import ContractError, bce_with_logits, grad_check, no_grad, sigmoid_data
 from .checkpoint import (CheckpointError, model_from_checkpoint,
                          save_checkpoint)
 from .config import ABLATION_FLAGS, ConfigError, ModelConfig, load_config
-from .metrics import check_threshold, format_table, write_report
+from .metrics import (adaptive_threshold, average_reports, check_threshold,
+                      clamp_threshold, evaluate, format_table, write_report)
 from .model import PSFormer
 from .plyio import PlyParseError, parse_ply, write_ply
 from .pointcloud import PointCloud, normalize_cloud
-from .training import (Adam, eval_model, gen_synthetic_scene, make_scenes,
-                       run_ablation, train_model)
+from .training import Adam, gen_synthetic_scene, make_scenes, run_ablation, train_model
 
 log = logging.getLogger("psformer")
 
@@ -56,8 +56,8 @@ def _setup_logging() -> None:
 
 
 def _log_environment() -> None:
-    """One key=value line on what computes: the kernel backend, numpy, and
-    the worker threads psformer adds to the caller's (_pool)."""
+    """One key=value line on what computes, logged first by every command: the
+    kernel backend, numpy, and the worker threads psformer adds (_pool)."""
     log.info("backend=%s numpy=%s workers=%d", ACTIVE_BACKEND, np.__version__,
              _pool.WORKERS)
 
@@ -90,7 +90,6 @@ def _load_scene_dir(path: str) -> list:
 
 def cmd_train(config_path: str | None, out_dir: str, seed: int | None = None,
               resume: str | None = None, ablate: str | None = None) -> int:
-    _log_environment()
     cfg = _config_from(config_path)
     if seed is not None:
         cfg.model.seed = seed
@@ -170,12 +169,19 @@ def cmd_train(config_path: str | None, out_dir: str, seed: int | None = None,
 
 def cmd_eval(checkpoint_path: str, data_path: str, out: str | None = None,
              threshold: float | None = None) -> int:
+    """Scores what `predict` writes, predict_cloud's probabilities, per scene
+    at `threshold`, else the model's adaptive or fixed threshold."""
     if threshold is not None:
         check_threshold(threshold)
     model, _, _ = model_from_checkpoint(checkpoint_path)
-    scenes = _load_scene_dir(data_path)
-    adaptive = model.config.model.adaptive_threshold and threshold is None
-    report = eval_model(model, scenes, threshold=threshold, adaptive=adaptive)
+    adaptive = threshold is None and model.config.model.adaptive_threshold
+    fixed = model.config.model.threshold if threshold is None else threshold
+    reports = []
+    for cloud in _load_scene_dir(data_path):
+        probs = predict_cloud(model, cloud)
+        thr = clamp_threshold(adaptive_threshold(probs)) if adaptive else fixed
+        reports.append(evaluate(probs, cloud.labels, thr))
+    report = average_reports(reports, "eval")
     print(report.line())
     if out:
         write_report([report], out)
@@ -215,12 +221,11 @@ def predict_cloud(model: PSFormer, cloud: PointCloud) -> np.ndarray:
     with no_grad():
         for idx in chunks:
             sub = normalize_cloud(cloud.coords[idx], cloud.colors[idx])
-            out[idx] = model.forward(sub).probabilities
+            out[idx] = sigmoid_data(model.forward(sub, model.build_geometry(sub)).data)
     return out
 
 
 def cmd_predict(checkpoint_path: str, ply_in: str, ply_out: str) -> int:
-    _log_environment()
     model, _, _ = model_from_checkpoint(checkpoint_path)
     cloud = parse_ply(ply_in)
     probs = predict_cloud(model, cloud)
@@ -257,8 +262,7 @@ def cmd_gradcheck(config_path: str | None = None, seed: int | None = None,
     labels = scene.labels.astype(np.float64)
 
     def objective():
-        pred = model.forward(scene, geometry=geometry)
-        return bce_with_logits(pred.logits, labels)
+        return bce_with_logits(model.forward(scene, geometry), labels)
 
     report = grad_check(objective, model.parameters(), max_elems=limit)
     for line in report.lines():
@@ -343,6 +347,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
 
     try:
+        _log_environment()
         if args.command == "train":
             return cmd_train(args.config, args.out, seed=args.seed,
                              resume=args.resume, ablate=args.ablate)

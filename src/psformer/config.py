@@ -10,6 +10,7 @@ the 9 input channels to the level-1 width.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 
 N_LEVELS = 5
@@ -202,8 +203,8 @@ class ModelConfig:
         if self.data.regime not in ("default", "small", "multi"):
             raise ConfigError(f"data.regime must be default|small|multi, got {self.data.regime!r}")
         d = self.data.dir
-        if "#" in d or d != d.strip() or len(d.splitlines()) > 1:
-            raise ConfigError(f"data.dir {d!r} cannot hold a '#', a line break or edge blanks")
+        if re.search(r"\s#", d) or d != d.strip() or len(d.splitlines()) > 1:
+            raise ConfigError(f"data.dir {d!r} cannot hold ' #', a line break or edge blanks")
         if self.train.epochs < 0:
             raise ConfigError("train.epochs must be >= 0")
         return self
@@ -236,12 +237,13 @@ def _parse_value(raw: str, kind: type, key: str):
 
 
 def parse_config(text: str) -> ModelConfig:
-    """key=value lines; '#' starts a comment; blank lines ignored. A leading
-    'preset=NAME' line selects the base (default preset otherwise); later
-    keys override it. Unknown keys raise ConfigError naming the key."""
+    """key=value lines; a '#' at the start of a line or after a blank starts a
+    comment; blank lines ignored. A leading 'preset=NAME' line selects the
+    base (default preset otherwise); later keys override it. Unknown keys
+    raise ConfigError naming the key."""
     cfg = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -24,7 +24,6 @@ from .autodiff import (
     group_max_pool,
     interp_apply,
     relu,
-    sigmoid_data,
 )
 
 
@@ -77,12 +76,6 @@ class HeadParams:
     def named(self) -> dict:
         return {"head.w1": self.w1, "head.b1": self.b1,
                 "head.w2": self.w2, "head.b2": self.b2}
-
-
-@dataclass
-class SaliencyPrediction:
-    logits: Tensor             # (N,), kept differentiable for the loss
-    probabilities: np.ndarray  # (N,) sigmoid of logits
 
 
 def init_ut(rng: np.random.Generator, d_up: int, d_skip: int,
@@ -144,7 +137,7 @@ def decode(levels, features9: Tensor, params: DecoderParams,
 def mca(levels, params: MCAParams) -> Tensor:
     """Per level: one linear + ReLU to the shared compress width, channelwise
     max over that level's points, pooled as one group of all of them;
-    concatenate the five vectors in level order into the (5 * compress_dim,)
+    concatenate the five rows in level order into the (1, 5 * compress_dim)
     scene context."""
     if len(levels) != len(params.w):
         raise ContractError(f"mca: {len(levels)} levels but {len(params.w)} MLPs")
@@ -152,20 +145,16 @@ def mca(levels, params: MCAParams) -> Tensor:
     for level, w, b in zip(levels, params.w, params.b):
         h = relu(level @ w + b)
         pieces.append(group_max_pool(h.reshape(1, *h.shape), [h.shape[0]]))
-    return concat(pieces).reshape(-1)
+    return concat(pieces)
 
 
 def predict_head(point_features: Tensor, context: Tensor | None,
-                 params: HeadParams) -> SaliencyPrediction:
-    """Broadcast-concat the scene context onto every point row, then a
-    two-layer MLP to one logit per point. context=None drops the context
-    columns (the no-context ablation); parameter widths must agree."""
+                 params: HeadParams) -> Tensor:
+    """Broadcast-concat the (1, c) scene context onto every point row, then a
+    two-layer MLP to the (N,) logits, one per point. context=None drops the
+    context columns (the no-context ablation); parameter widths must agree."""
     f = point_features
-    n = f.shape[0]
     if context is not None:
-        ctx_rows = gather_rows(context.reshape(1, context.shape[0]),
-                               np.zeros(n, dtype=np.int64))
-        f = concat([f, ctx_rows])
+        f = concat([f, gather_rows(context, np.zeros(f.shape[0], dtype=np.int64))])
     h = relu(f @ params.w1 + params.b1)
-    logits = (h @ params.w2 + params.b2).reshape(n)
-    return SaliencyPrediction(logits=logits, probabilities=sigmoid_data(logits.data))
+    return (h @ params.w2 + params.b2).reshape(-1)

@@ -1,5 +1,5 @@
 """Full encoder-decoder model: parameter construction, geometry caching, and
-the forward pass from a point cloud to per-point saliency."""
+the forward pass from a point cloud and its geometry to per-point logits."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from .autodiff import ContractError, Tensor
 from .config import ModelConfig
 from .decoder import (
     DecoderParams,
-    SaliencyPrediction,
     decode,
     init_head,
     init_mca,
@@ -126,10 +125,8 @@ class PSFormer:
 
     # forward ------------------------------------------------------------
 
-    def forward(self, cloud: PointCloud,
-                geometry: ModelGeometry | None = None) -> SaliencyPrediction:
-        if geometry is None:
-            geometry = self.build_geometry(cloud)
+    def forward(self, cloud: PointCloud, geometry: ModelGeometry) -> Tensor:
+        """(N,) saliency logits of cloud; geometry is build_geometry(cloud)."""
         features9 = Tensor(cloud.features9())
         levels = encode_features(cloud.coords, features9,
                                  self.level_params, geometry.levels)

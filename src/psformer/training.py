@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _pool
-from .autodiff import ContractError, Tensor, backward, bce_with_logits, no_grad
+from .autodiff import ContractError, Tensor, backward, bce_with_logits, no_grad, sigmoid_data
 from .config import ABLATION_FLAGS, DataSection, ModelConfig
-from .metrics import MetricsReport, adaptive_threshold, average_reports, clamp_threshold, evaluate
+from .metrics import MetricsReport, average_reports, evaluate
 from .model import PSFormer
 from .pointcloud import PointCloud, normalize_cloud
 
@@ -203,27 +203,23 @@ class TrainResult:
 
 
 def _scene_loss(model: PSFormer, cloud: PointCloud, geometry) -> Tensor:
-    pred = model.forward(cloud, geometry=geometry)
-    return bce_with_logits(pred.logits, cloud.labels.astype(np.float64))
+    return bce_with_logits(model.forward(cloud, geometry=geometry),
+                           cloud.labels.astype(np.float64))
 
 
-def eval_model(model: PSFormer, scenes, threshold: float | None = None,
-               adaptive: bool = False, name: str = "eval",
-               geometries=None) -> MetricsReport:
-    """Per-view metrics averaged over scenes."""
+def eval_model(model: PSFormer, scenes, geometries, name: str = "eval") -> MetricsReport:
+    """Per-view metrics at the config's threshold, averaged over scenes;
+    geometries[i] is model.build_geometry(scenes[i])."""
     if not scenes:
         raise ContractError("eval_model needs at least one scene")
     reports = []
     with no_grad():
-        for i, cloud in enumerate(scenes):
+        for i, (cloud, geom) in enumerate(zip(scenes, geometries, strict=True)):
             if cloud.labels is None:
                 raise ContractError(f"scene {i} has no labels")
-            geom = geometries[i] if geometries is not None else None
-            pred = model.forward(cloud, geometry=geom)
-            thr = threshold if threshold is not None else model.config.model.threshold
-            if adaptive:
-                thr = clamp_threshold(adaptive_threshold(pred.probabilities))
-            reports.append(evaluate(pred.probabilities, cloud.labels, thr, name=name))
+            probs = sigmoid_data(model.forward(cloud, geometry=geom).data)
+            reports.append(evaluate(probs, cloud.labels, model.config.model.threshold,
+                                    name=name))
     return average_reports(reports, name)
 
 
@@ -284,7 +280,7 @@ def train_model(model: PSFormer, scenes, optimizer: Adam | None = None,
 
         probe = (cfg.train.eval_every > 0 and (epoch + 1) % cfg.train.eval_every == 0)
         if probe or epoch == last:
-            report = eval_model(model, scenes, name="train", geometries=geoms)
+            report = eval_model(model, scenes, geoms, name="train")
             result.train_metrics = report
             if log_fn:
                 log_fn(epoch + 1, epoch_loss, report)
@@ -334,7 +330,8 @@ def run_ablation(base_cfg: ModelConfig, flags, seeds=(0, 1, 2),
         for seed in seeds:
             model = PSFormer(cfg, seed=seed)
             train_model(model, train_scenes, shuffle_seed=seed)
-            report = eval_model(model, test_scenes, name=name)
+            report = eval_model(model, test_scenes,
+                                [model.build_geometry(c) for c in test_scenes], name=name)
             reports.append(report)
             ious.append(report.iou)
             if log_fn:

@@ -354,8 +354,9 @@ def test_io_round_trips(capsys, tmp_path):
         params, cloned = model.parameters(), clone.parameters()
         ckpt_ok = all(np.array_equal(params[n].data, cloned[n].data)
                       for n in params)
-        ckpt_ok &= np.array_equal(model.forward(scene).logits.data,
-                                  clone.forward(scene).logits.data)
+        ckpt_ok &= np.array_equal(
+            model.forward(scene, model.build_geometry(scene)).data,
+            clone.forward(scene, clone.build_geometry(scene)).data)
 
         rng = np.random.default_rng(0)
         report = evaluate(rng.uniform(0, 1, 50), rng.uniform(0, 1, 50) > 0.5,

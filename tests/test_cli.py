@@ -11,15 +11,15 @@ import numpy as np
 import pytest
 
 from psformer import _kernels, _pool
-from psformer.autodiff import ContractError
+from psformer.autodiff import ContractError, sigmoid_data
 from psformer.checkpoint import model_from_checkpoint, save_checkpoint
-from psformer.cli import cmd_gradcheck, main, predict_cloud
+from psformer.cli import cmd_eval, cmd_gradcheck, main, predict_cloud
 from psformer.config import DataSection, ModelConfig
-from psformer.metrics import parse_report
+from psformer.metrics import evaluate, parse_report
 from psformer.model import PSFormer
 from psformer.plyio import parse_ply, write_ply
 from psformer.pointcloud import normalize_cloud
-from psformer.training import eval_model, gen_synthetic_scene
+from psformer.training import gen_synthetic_scene
 
 
 @pytest.fixture(autouse=True)
@@ -259,10 +259,48 @@ def test_eval_rejects_threshold_outside_open_unit_interval(tmp_path, capsys, thr
     out, err = capsys.readouterr()
     assert out == ""
     assert "threshold must be in (0,1)" in err and "missing.ckpt" not in err
-    cfg = ModelConfig.tiny()
-    scene = gen_synthetic_scene(0, cfg.data)
+    ckpt, _ = _tiny_checkpoint(tmp_path)
+    data = str(tmp_path / "scene.ply")
+    write_ply(gen_synthetic_scene(0, ModelConfig.tiny().data), data)
     with pytest.raises(ContractError, match=r"threshold must be in \(0,1\)"):
-        eval_model(PSFormer(cfg), [scene], threshold=float(threshold))
+        cmd_eval(ckpt, data, threshold=float(threshold))
+
+
+def test_eval_adaptive_threshold_changes_mask_metrics(tmp_path, capsys):
+    data = str(tmp_path / "scene.ply")
+    write_ply(gen_synthetic_scene(2, ModelConfig.tiny().data), data)
+    reports = {}
+    for adaptive in (False, True):
+        cfg = ModelConfig.tiny()
+        cfg.model.adaptive_threshold = adaptive
+        ckpt = str(tmp_path / f"adaptive_{adaptive}.ckpt")
+        save_checkpoint(ckpt, PSFormer(cfg, seed=0))
+        out = str(tmp_path / f"adaptive_{adaptive}.txt")
+        assert cmd_eval(ckpt, data, out=out) == 0
+        (reports[adaptive],) = parse_report(out)
+    fixed, adaptive = reports[False], reports[True]
+    assert fixed.mae == adaptive.mae             # mae ignores the threshold
+    assert adaptive.threshold != fixed.threshold == 0.5
+    # an explicit threshold overrides the adaptive one
+    capsys.readouterr()
+    assert cmd_eval(ckpt, data, threshold=0.5) == 0
+    assert capsys.readouterr().out.strip() == fixed.line()
+
+
+def test_eval_scores_the_chunked_probabilities_predict_writes(tmp_path, capsys):
+    # 160 points against the tiny 64-point patch: eval scores the per-chunk
+    # probabilities predict writes, not one forward over the whole scene
+    ckpt, model = _tiny_checkpoint(tmp_path)
+    data = str(tmp_path / "big.ply")
+    write_ply(gen_synthetic_scene(3, DataSection(scene_points=160)), data)
+    cloud = parse_ply(data)
+    assert cloud.n > model.config.data.patch_size
+    out = str(tmp_path / "report.txt")
+    assert main(["eval", "--checkpoint", ckpt, "--data", data, "--out", out]) == 0
+    capsys.readouterr()
+    (report,) = parse_report(out)
+    assert report == evaluate(predict_cloud(model, cloud), cloud.labels,
+                              model.config.model.threshold)
 
 
 def test_eval_single_file_works(tmp_path, capsys):
@@ -318,10 +356,14 @@ def _environment_line(err: str) -> dict:
     return dict(pair.split("=", 1) for pair in pairs)
 
 
+def _environment() -> dict:
+    return {"backend": _kernels.ACTIVE_BACKEND, "numpy": np.__version__,
+            "workers": str(_pool.WORKERS)}
+
+
 def test_train_and_predict_log_the_environment_first(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PSF_LOG_LEVEL", "info")
-    want = {"backend": _kernels.ACTIVE_BACKEND, "numpy": np.__version__,
-            "workers": str(_pool.WORKERS)}
+    want = _environment()
     cfg = _write_config(tmp_path)
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
     assert _environment_line(capsys.readouterr().err) == want
@@ -335,13 +377,22 @@ def test_train_and_predict_log_the_environment_first(tmp_path, monkeypatch, caps
     assert _environment_line(capsys.readouterr().err) == want
 
 
+def test_eval_logs_the_environment_first(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PSF_LOG_LEVEL", "info")
+    data = str(tmp_path / "scene.ply")
+    write_ply(gen_synthetic_scene(0, ModelConfig.tiny().data), data)
+    ckpt, _ = _tiny_checkpoint(tmp_path)
+    assert main(["eval", "--checkpoint", ckpt, "--data", data]) == 0
+    assert _environment_line(capsys.readouterr().err) == _environment()
+
+
 def test_predict_cloud_one_patch_is_forward():
     # a cloud within the patch size is a single chunk of all its points
     model = PSFormer(ModelConfig.tiny(), seed=0)
     scene = gen_synthetic_scene(1, model.config.data)
     assert scene.n <= model.config.data.patch_size
     assert np.array_equal(predict_cloud(model, scene),
-                          model.forward(scene).probabilities)
+                          sigmoid_data(model.forward(scene, model.build_geometry(scene)).data))
 
 
 def test_predict_cloud_chunks_oversized_input():
@@ -361,10 +412,9 @@ def test_predict_cloud_builds_no_graph(monkeypatch):
     forward = model.forward
     logits = []
 
-    def recording_forward(cloud, **kwargs):
-        pred = forward(cloud, **kwargs)
-        logits.append(pred.logits)
-        return pred
+    def recording_forward(cloud, geometry):
+        logits.append(forward(cloud, geometry))
+        return logits[-1]
 
     monkeypatch.setattr(model, "forward", recording_forward)
     predict_cloud(model, gen_synthetic_scene(1, model.config.data))  # one patch

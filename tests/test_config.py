@@ -191,15 +191,16 @@ def test_validation_rejects_non_finite_floats():
 
 
 def test_validation_rejects_a_data_dir_the_text_cannot_hold():
-    # "runs/#1/data" would be written to a checkpoint and read back as "runs/"
-    for bad in ("runs/#1/data", "runs/a\nb", "runs/a\rb", " runs", "runs/ ", "\t"):
+    # "runs/ #1" would be written to a checkpoint and read back as "runs/"
+    for bad in ("runs/ #1", "runs/a\nb", "runs/a\rb", " runs", "runs/ ", "\t"):
         cfg = ModelConfig.tiny()
         cfg.data.dir = bad
         with pytest.raises(ConfigError, match="data.dir"):
             cfg.validate()
-    cfg = ModelConfig.tiny()
-    cfg.data.dir = "runs/scan 1/data"
-    assert parse_config(serialize_config(cfg.validate())).data.dir == cfg.data.dir
+    for good in ("runs/scan 1/data", "runs/#1/data"):
+        cfg = ModelConfig.tiny()
+        cfg.data.dir = good
+        assert parse_config(serialize_config(cfg.validate())).data.dir == good
 
 
 # ---------------------------------------------------------------- ablation

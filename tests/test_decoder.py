@@ -112,8 +112,8 @@ def test_mca_matches_loop_reference():
         got = mca(levels, params).data
         want = _mca_reference(feats, [w.data for w in params.w],
                               [b.data for b in params.b])
-        assert got.shape == (n_levels * compress,)
-        worst = max(worst, np.abs(got - want).max())
+        assert got.shape == (1, n_levels * compress)
+        worst = max(worst, np.abs(got[0] - want).max())
     assert worst <= 1e-12, worst
 
 
@@ -141,13 +141,11 @@ def test_mca_level_count_mismatch():
 
 # ------------------------------------------------------------------- head
 
-def test_predict_head_is_sigmoid_of_logits():
+def test_predict_head_returns_one_logit_per_point():
     rng = np.random.default_rng(9)
     f = rng.normal(0, 1, (11, 6))
     params = init_head(rng, 6, 8)
-    pred = predict_head(Tensor(f), None, params)
-    assert pred.logits.shape == (11,)
-    assert np.array_equal(pred.probabilities, 1.0 / (1.0 + np.exp(-pred.logits.data)))
+    assert predict_head(Tensor(f), None, params).shape == (11,)
 
 
 def test_predict_head_broadcasts_context_rows():
@@ -155,13 +153,13 @@ def test_predict_head_broadcasts_context_rows():
     f = rng.normal(0, 1, (6, 4))
     levels = [_level_out(rng, 5, 3)[1]]
     ctx = mca(levels, init_mca(rng, [3], 2))
-    params = init_head(rng, 4 + ctx.shape[0], 8)
-    pred = predict_head(Tensor(f), ctx, params)
+    params = init_head(rng, 4 + ctx.shape[1], 8)
+    logits = predict_head(Tensor(f), ctx, params)
     # manually append the context to every row
     manual_in = np.concatenate([f, np.tile(ctx.data, (6, 1))], axis=1)
     h = np.maximum(manual_in @ params.w1.data + params.b1.data, 0.0)
     manual = (h @ params.w2.data + params.b2.data).reshape(6)
-    assert np.allclose(pred.logits.data, manual, rtol=0, atol=1e-15)
+    assert np.allclose(logits.data, manual, rtol=0, atol=1e-15)
 
 
 def test_predict_head_width_mismatch():
@@ -253,9 +251,8 @@ def test_mca_and_head_grad_check():
     from psformer.autodiff import bce_with_logits
 
     def objective():
-        ctx = mca(levels, mparams)
-        pred = predict_head(point_feats, ctx, hparams)
-        return bce_with_logits(pred.logits, labels)
+        return bce_with_logits(predict_head(point_feats, mca(levels, mparams), hparams),
+                               labels)
 
     tracked = {}
     tracked.update(mparams.named())

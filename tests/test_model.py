@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from psformer.autodiff import ContractError, Tensor, backward, bce_with_logits
+from psformer.autodiff import ContractError, Tensor, backward, bce_with_logits, sigmoid_data
 from psformer.config import ABLATION_FLAGS, ModelConfig
 from psformer.decoder import decode, mca, predict_head
 from psformer.encoder import encode_features
@@ -24,30 +24,32 @@ def _scene(seed=0, cfg=None):
     return gen_synthetic_scene(seed, cfg.data)
 
 
+def _logits(model, scene):
+    return model.forward(scene, model.build_geometry(scene))
+
+
 # ---------------------------------------------------------------- forward
 
 def test_forward_shapes_and_ranges():
     cfg = _tiny()
     model = PSFormer(cfg, seed=0)
     scene = _scene()
-    pred = model.forward(scene)
-    n = scene.n
-    assert pred.logits.data.shape == (n,)
-    assert pred.probabilities.shape == (n,)
-    assert np.all((pred.probabilities > 0) & (pred.probabilities < 1))
+    logits = _logits(model, scene)
+    assert logits.shape == (scene.n,)
+    assert np.isfinite(logits.data).all()
 
 
 def test_forward_deterministic_and_geometry_reuse():
     cfg = _tiny()
     scene = _scene(3)
-    a = PSFormer(cfg, seed=1).forward(scene)
-    b = PSFormer(cfg, seed=1).forward(scene)
-    assert np.array_equal(a.logits.data, b.logits.data)
-    # precomputed geometry must change nothing
-    model = PSFormer(cfg, seed=1)
-    geom = model.build_geometry(scene)
-    c = model.forward(scene, geometry=geom)
-    assert np.array_equal(a.logits.data, c.logits.data)
+    a, b = PSFormer(cfg, seed=1), PSFormer(cfg, seed=1)
+    geom = a.build_geometry(scene)
+    first = a.forward(scene, geom).data
+    # geometry depends on coords alone: reusing it, or another model's
+    # build of it, changes nothing
+    assert np.array_equal(a.forward(scene, geom).data, first)
+    assert np.array_equal(b.forward(scene, geom).data, first)
+    assert np.array_equal(_logits(b, scene).data, first)
 
 
 def test_forward_rejects_small_cloud():
@@ -56,7 +58,7 @@ def test_forward_rejects_small_cloud():
     need = cfg.levels[0].m
     tiny_cloud = normalize_cloud(rng.uniform(0, 1, (need - 1, 3)))
     with pytest.raises(ContractError, match="points"):
-        PSFormer(cfg, seed=0).forward(tiny_cloud)
+        _logits(PSFormer(cfg, seed=0), tiny_cloud)
 
 
 def test_forward_builds_the_input_channels_once(monkeypatch):
@@ -66,7 +68,7 @@ def test_forward_builds_the_input_channels_once(monkeypatch):
     features9 = type(scene).features9
     monkeypatch.setattr(type(scene), "features9",
                         lambda self: calls.append(1) or features9(self))
-    PSFormer(_tiny(), seed=0).forward(scene)
+    _logits(PSFormer(_tiny(), seed=0), scene)
     assert len(calls) == 1
 
 
@@ -78,14 +80,13 @@ def test_point_order_equivariance():
     cfg = _tiny()
     model = PSFormer(cfg, seed=2)
     scene = _scene(5)
-    base = model.forward(scene)
+    base = sigmoid_data(_logits(model, scene).data)
     rng = np.random.default_rng(11)
     for _ in range(3):
         perm = rng.permutation(scene.n)
-        shuffled = model.forward(normalize_cloud(scene.coords[perm], scene.colors[perm],
-                                                 scene.labels[perm]))
-        assert np.allclose(shuffled.probabilities, base.probabilities[perm],
-                           rtol=0, atol=1e-12)
+        shuffled = _logits(model, normalize_cloud(scene.coords[perm], scene.colors[perm],
+                                                  scene.labels[perm]))
+        assert np.allclose(sigmoid_data(shuffled.data), base[perm], rtol=0, atol=1e-12)
 
 
 # ------------------------------------------------------------- parameters
@@ -106,8 +107,7 @@ def test_parameters_are_stable_and_named():
 def test_backward_releases_interior_grads_and_keeps_parameter_grads():
     model = PSFormer(_tiny(), seed=0)
     scene = _scene()
-    loss = bce_with_logits(model.forward(scene).logits,
-                           scene.labels.astype(np.float64))
+    loss = bce_with_logits(_logits(model, scene), scene.labels.astype(np.float64))
     backward(loss)
     params = model.parameters()
     for name, p in params.items():
@@ -137,12 +137,12 @@ def test_caller_held_values_survive_backward():
     levels = encode_features(scene.coords, features9, model.level_params,
                              geometry.levels)
     feats = decode(levels, features9, model.dec_params, geometry.interp)
-    pred = predict_head(feats, mca(levels, model.mca_params), model.head_params)
-    assert pred.logits.data.tobytes() == model.forward(scene, geometry).logits.data.tobytes()
-    held = {"logits": pred.logits, **{f"enc{i}": t for i, t in enumerate(levels, 1)}}
+    logits = predict_head(feats, mca(levels, model.mca_params), model.head_params)
+    assert logits.data.tobytes() == model.forward(scene, geometry).data.tobytes()
+    held = {"logits": logits, **{f"enc{i}": t for i, t in enumerate(levels, 1)}}
     params = model.parameters()
     before = {k: t.data.tobytes() for k, t in {**held, **params}.items()}
-    loss = bce_with_logits(pred.logits, scene.labels.astype(np.float64))
+    loss = bce_with_logits(logits, scene.labels.astype(np.float64))
     backward(loss)
     for k, t in {**held, **params}.items():
         assert t.data.tobytes() == before[k], k
@@ -171,8 +171,7 @@ def test_step_graph_holds_fn_as_one_node_saving_one_difference_per_level():
     cfg = _tiny()
     model = PSFormer(cfg, seed=0)
     scene = _scene()
-    loss = bce_with_logits(model.forward(scene).logits,
-                           scene.labels.astype(np.float64))
+    loss = bce_with_logits(_logits(model, scene), scene.labels.astype(np.float64))
     nodes = _nodes_from([loss._node])
     fns = [n for n in nodes if n._op == "fn"]
     assert sorted(n.shape for n in fns) == sorted((lv.m, lv.k, lv.d_out) for lv in cfg.levels)
@@ -269,8 +268,7 @@ def test_ablations_shrink_the_model():
     for flag in ABLATION_FLAGS:
         ablated = PSFormer(cfg.ablated([flag]), seed=0)
         assert len(ablated.parameters()) < len(full)
-        pred = ablated.forward(_scene())
-        assert np.isfinite(pred.logits.data).all()
+        assert np.isfinite(_logits(ablated, _scene()).data).all()
 
 
 def test_eval_model_runs_on_forward_output():
@@ -279,7 +277,8 @@ def test_eval_model_runs_on_forward_output():
     cfg = _tiny()
     model = PSFormer(cfg, seed=0)
     scenes = make_scenes(cfg.data, 2, seed0=1)
-    report = eval_model(model, scenes, name="smoke")
+    report = eval_model(model, scenes, [model.build_geometry(s) for s in scenes],
+                        name="smoke")
     assert report.samples == 2
     assert 0.0 <= report.iou <= 1.0
     assert 0.0 <= report.mae <= 1.0

@@ -125,7 +125,7 @@ def test_the_model_builds_every_op_src_defines(monkeypatch):
     model = PSFormer(cfg, seed=0)
     scenes = make_scenes(cfg.data, 2, seed0=0)
     train_model(model, scenes, epochs=1)
-    eval_model(model, scenes)
+    eval_model(model, scenes, [model.build_geometry(s) for s in scenes])
     predict_cloud(model, scenes[0])
 
     defined = set()

@@ -238,21 +238,12 @@ def test_eval_model_averages_per_view():
     cfg = ModelConfig.tiny()
     scenes = make_scenes(cfg.data, 3, seed0=4)
     model = PSFormer(cfg, seed=0)
-    per_view = [eval_model(model, [s]) for s in scenes]
-    joint = eval_model(model, scenes)
+    geoms = [model.build_geometry(s) for s in scenes]
+    per_view = [eval_model(model, [s], [g]) for s, g in zip(scenes, geoms)]
+    joint = eval_model(model, scenes, geoms)
     assert joint.samples == 3
     assert joint.iou == pytest.approx(np.mean([r.iou for r in per_view]), abs=1e-15)
     assert joint.mae == pytest.approx(np.mean([r.mae for r in per_view]), abs=1e-15)
-
-
-def test_eval_model_adaptive_threshold_changes_mask_metrics():
-    cfg = ModelConfig.tiny()
-    scenes = make_scenes(cfg.data, 1, seed0=2)
-    model = PSFormer(cfg, seed=0)
-    fixed = eval_model(model, scenes, threshold=0.5)
-    adaptive = eval_model(model, scenes, adaptive=True)
-    assert fixed.mae == adaptive.mae             # mae ignores the threshold
-    assert adaptive.threshold != fixed.threshold
 
 
 # --------------------------------------------------------------- ablation
