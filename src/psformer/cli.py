@@ -22,8 +22,7 @@ from .autodiff import ContractError, bce_with_logits, grad_check, no_grad, sigmo
 from .checkpoint import (CheckpointError, model_from_checkpoint,
                          save_checkpoint)
 from .config import ABLATION_FLAGS, ConfigError, ModelConfig, load_config
-from .metrics import (adaptive_threshold, average_reports, check_threshold,
-                      clamp_threshold, evaluate, format_table, write_report)
+from .metrics import check_threshold, format_table, score, write_report
 from .model import PSFormer
 from .plyio import PlyParseError, parse_ply, write_ply
 from .pointcloud import PointCloud, normalize_cloud
@@ -91,6 +90,13 @@ def _load_scene_dir(path: str) -> list:
 def cmd_train(config_path: str | None, out_dir: str, seed: int | None = None,
               resume: str | None = None, ablate: str | None = None) -> int:
     cfg = _config_from(config_path)
+    if ablate is not None:
+        # run_ablation trains new models at seeds 0-2 on synthetic scenes
+        for given, what in ((resume is not None, "--resume"), (seed is not None, "--seed"),
+                            (cfg.data.dir, f"data.dir {cfg.data.dir!r}")):
+            if given:
+                raise CLIError(f"--ablate trains new models at seeds 0-2 on synthetic "
+                               f"scenes; it cannot take {what}")
     if seed is not None:
         cfg.model.seed = seed
     os.makedirs(out_dir, exist_ok=True)
@@ -169,19 +175,14 @@ def cmd_train(config_path: str | None, out_dir: str, seed: int | None = None,
 
 def cmd_eval(checkpoint_path: str, data_path: str, out: str | None = None,
              threshold: float | None = None) -> int:
-    """Scores what `predict` writes, predict_cloud's probabilities, per scene
-    at `threshold`, else the model's adaptive or fixed threshold."""
+    """metrics.score of what `predict` writes, predict_cloud's probabilities,
+    per scene."""
     if threshold is not None:
         check_threshold(threshold)
     model, _, _ = model_from_checkpoint(checkpoint_path)
-    adaptive = threshold is None and model.config.model.adaptive_threshold
-    fixed = model.config.model.threshold if threshold is None else threshold
-    reports = []
-    for cloud in _load_scene_dir(data_path):
-        probs = predict_cloud(model, cloud)
-        thr = clamp_threshold(adaptive_threshold(probs)) if adaptive else fixed
-        reports.append(evaluate(probs, cloud.labels, thr))
-    report = average_reports(reports, "eval")
+    report = score([(predict_cloud(model, cloud), cloud.labels)
+                    for cloud in _load_scene_dir(data_path)],
+                   model.config.model, threshold)
     print(report.line())
     if out:
         write_report([report], out)

@@ -34,7 +34,7 @@ class LevelSpec:
 class ModelSection:
     compress_dim: int = 32       # per-level width inside the scene context
     threshold: float = 0.5
-    adaptive_threshold: bool = False   # eval-time threshold = min(1, 2*mean p)
+    adaptive_threshold: bool = False   # metrics.score: each view at twice its mean p
     use_fn: bool = True
     use_psi_pre: bool = True
     use_psi_post: bool = True
@@ -274,7 +274,16 @@ def _sections(cfg: ModelConfig) -> dict:
             "train": cfg.train}
 
 
+# Keys older configs and checkpoints hold, with what replaced each.
+_RETIRED_KEYS = {
+    "model.fn_eps": "FN's epsilon is the constant featurenorm.EPS",
+    "model.attn_cap": "attention runs in row blocks with no cap",
+}
+
+
 def _apply_key(cfg: ModelConfig, key: str, raw: str) -> None:
+    if key in _RETIRED_KEYS:
+        raise ConfigError(f"config key {key!r} was retired: {_RETIRED_KEYS[key]}")
     section, _, name = key.partition(".")
     target = _sections(cfg).get(section)
     if target is None and section.startswith("level") and section[len("level"):].isdigit():

@@ -83,16 +83,12 @@ def iou(probabilities, labels, threshold: float = 0.5) -> float:
 
 
 def adaptive_threshold(probabilities) -> float:
-    """Twice the mean probability, capped at 1."""
+    """Twice the mean probability (Achanta et al., CVPR 2009), squeezed into
+    the open interval (0, 1) the metrics require."""
     p = np.asarray(probabilities, dtype=np.float64)
     if p.size == 0:
         raise ContractError("adaptive_threshold needs at least one point")
-    return min(1.0, 2.0 * float(p.mean()))
-
-
-def clamp_threshold(threshold: float) -> float:
-    """Squeeze a threshold into the open interval the metrics require."""
-    return min(max(threshold, 1e-9), 1.0 - 1e-9)
+    return min(max(2.0 * float(p.mean()), 1e-9), 1.0 - 1e-9)
 
 
 @dataclass
@@ -127,19 +123,37 @@ def evaluate(probabilities, labels, threshold: float = 0.5,
 
 
 def average_reports(reports, name: str) -> MetricsReport:
-    """Per-view averaging: each view's metrics weigh equally."""
+    """Per-view averaging: each view's metrics weigh equally. The threshold
+    is the views' shared one, or their mean where they differ."""
     if not reports:
         raise ContractError("average_reports needs at least one report")
     n = len(reports)
+    thresholds = [r.threshold for r in reports]
     return MetricsReport(
         name=name,
         mae=sum(r.mae for r in reports) / n,
         f_measure=sum(r.f_measure for r in reports) / n,
         e_measure=sum(r.e_measure for r in reports) / n,
         iou=sum(r.iou for r in reports) / n,
-        threshold=reports[0].threshold,
+        threshold=thresholds[0] if len(set(thresholds)) == 1 else sum(thresholds) / n,
         samples=sum(r.samples for r in reports),
     )
+
+
+def score(views, model, threshold: float | None = None,
+          name: str = "eval") -> MetricsReport:
+    """All four metrics per (probabilities, labels) view, averaged over the
+    views. A view is binarized at `threshold` if given, else at its own
+    adaptive_threshold when the config's model section `model` asks for
+    it, else at model.threshold."""
+    reports = []
+    for i, (p, labels) in enumerate(views):
+        if labels is None:
+            raise ContractError(f"scene {i} has no labels")
+        thr = threshold if threshold is not None else (
+            adaptive_threshold(p) if model.adaptive_threshold else model.threshold)
+        reports.append(evaluate(p, labels, thr, name=name))
+    return average_reports(reports, name)
 
 
 def format_table(reports) -> str:

@@ -11,7 +11,7 @@ import numpy as np
 from . import _pool
 from .autodiff import ContractError, Tensor, backward, bce_with_logits, no_grad, sigmoid_data
 from .config import ABLATION_FLAGS, DataSection, ModelConfig
-from .metrics import MetricsReport, average_reports, evaluate
+from .metrics import MetricsReport, average_reports, score
 from .model import PSFormer
 from .pointcloud import PointCloud, normalize_cloud
 
@@ -208,19 +208,12 @@ def _scene_loss(model: PSFormer, cloud: PointCloud, geometry) -> Tensor:
 
 
 def eval_model(model: PSFormer, scenes, geometries, name: str = "eval") -> MetricsReport:
-    """Per-view metrics at the config's threshold, averaged over scenes;
-    geometries[i] is model.build_geometry(scenes[i])."""
-    if not scenes:
-        raise ContractError("eval_model needs at least one scene")
-    reports = []
+    """metrics.score of one forward per scene; geometries[i] is
+    model.build_geometry(scenes[i])."""
     with no_grad():
-        for i, (cloud, geom) in enumerate(zip(scenes, geometries, strict=True)):
-            if cloud.labels is None:
-                raise ContractError(f"scene {i} has no labels")
-            probs = sigmoid_data(model.forward(cloud, geometry=geom).data)
-            reports.append(evaluate(probs, cloud.labels, model.config.model.threshold,
-                                    name=name))
-    return average_reports(reports, name)
+        views = [(sigmoid_data(model.forward(cloud, geom).data), cloud.labels)
+                 for cloud, geom in zip(scenes, geometries, strict=True)]
+    return score(views, model.config.model, name=name)
 
 
 def train_model(model: PSFormer, scenes, optimizer: Adam | None = None,

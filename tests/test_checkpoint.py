@@ -247,6 +247,16 @@ def test_bad_config_text(tmp_path):
                       "member 'config': bad config text")
 
 
+def test_checkpoint_with_a_retired_key_names_the_reason(tmp_path):
+    # config text as checkpoints wrote it while FN's epsilon was a key
+    members = _members(tmp_path)
+    text = serialize_config(ModelConfig.tiny()) + "model.fn_eps=1e-05\n"
+    config = _npy(np.frombuffer(text.encode("utf-8"), np.uint8))
+    _expect_error(tmp_path, _zip(_replace(members, "config.npy", config)),
+                  r"'model.fn_eps' was retired: FN's epsilon is the constant "
+                  r"featurenorm\.EPS")
+
+
 def test_implausible_ndim(tmp_path):
     members = _members(tmp_path)
     name = _first_param(members)

@@ -3,6 +3,7 @@ user errors, and the log/report files a run leaves behind."""
 
 import io
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -15,11 +16,11 @@ from psformer.autodiff import ContractError, sigmoid_data
 from psformer.checkpoint import model_from_checkpoint, save_checkpoint
 from psformer.cli import cmd_eval, cmd_gradcheck, main, predict_cloud
 from psformer.config import DataSection, ModelConfig
-from psformer.metrics import evaluate, parse_report
+from psformer.metrics import adaptive_threshold, evaluate, parse_report
 from psformer.model import PSFormer
 from psformer.plyio import parse_ply, write_ply
 from psformer.pointcloud import normalize_cloud
-from psformer.training import gen_synthetic_scene
+from psformer.training import eval_model, gen_synthetic_scene
 
 
 @pytest.fixture(autouse=True)
@@ -229,6 +230,20 @@ def test_train_ablate_rejects_unknown_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("args, extra, named", [
+    (["--resume", "model.ckpt"], "", "--resume"),
+    (["--seed", "3"], "", "--seed"),
+    ([], "data.dir=scenes\n", "data.dir 'scenes'"),
+], ids=["resume", "seed", "data_dir"])
+def test_train_ablate_rejects_what_it_would_ignore(tmp_path, capsys, args, extra, named):
+    # the ablation trains new models at seeds 0-2 on synthetic scenes
+    cfg = _write_config(tmp_path, extra=extra)
+    out = tmp_path / "ab"
+    assert main(["train", "--config", cfg, "--out", str(out), "--ablate", "fn"] + args) == 1
+    assert f"cannot take {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ eval
 
 def test_eval_prints_and_writes_report(tmp_path, capsys):
@@ -301,6 +316,45 @@ def test_eval_scores_the_chunked_probabilities_predict_writes(tmp_path, capsys):
     (report,) = parse_report(out)
     assert report == evaluate(predict_cloud(model, cloud), cloud.labels,
                               model.config.model.threshold)
+
+
+def _adaptive_scenes(tmp_path):
+    """A `tiny` checkpoint with model.adaptive_threshold, three labeled
+    scenes within its patch size written to a directory, and those scenes
+    as `eval` parses them."""
+    cfg = ModelConfig.tiny()
+    cfg.model.adaptive_threshold = True
+    model = PSFormer(cfg, seed=1)
+    ckpt = str(tmp_path / "adaptive.ckpt")
+    save_checkpoint(ckpt, model)
+    data = tmp_path / "scenes"
+    data.mkdir()
+    for i in range(3):
+        write_ply(gen_synthetic_scene(i, cfg.data), str(data / f"scene_{i}.ply"))
+    scenes = [parse_ply(str(data / f"scene_{i}.ply")) for i in range(3)]
+    assert all(s.n <= cfg.data.patch_size for s in scenes)
+    return model, ckpt, str(data), scenes
+
+
+def test_eval_reports_the_mean_of_differing_thresholds(tmp_path, capsys):
+    model, ckpt, data, scenes = _adaptive_scenes(tmp_path)
+    thresholds = [adaptive_threshold(predict_cloud(model, s)) for s in scenes]
+    assert len(set(thresholds)) == 3
+    out = str(tmp_path / "report.txt")
+    assert main(["eval", "--checkpoint", ckpt, "--data", data, "--out", out]) == 0
+    capsys.readouterr()
+    (report,) = parse_report(out)
+    assert report.threshold == sum(thresholds) / 3
+
+
+def test_training_probe_scores_as_eval_does(tmp_path, capsys):
+    # eval_model, which feeds train.log, early stop and the ablation table,
+    # binarizes at the same per-scene adaptive thresholds as `psformer eval`
+    model, ckpt, data, scenes = _adaptive_scenes(tmp_path)
+    assert cmd_eval(ckpt, data) == 0
+    report = eval_model(model, scenes, [model.build_geometry(s) for s in scenes])
+    assert capsys.readouterr().out.strip() == report.line()
+    assert report.threshold != model.config.model.threshold
 
 
 def test_eval_single_file_works(tmp_path, capsys):
@@ -405,6 +459,31 @@ def test_predict_cloud_chunks_oversized_input():
     assert probs.shape == (160,)
     assert np.isfinite(probs).all()
     assert np.all((probs > 0) & (probs < 1))
+
+
+def test_predict_cloud_merges_a_chunk_too_small_for_the_encoder(monkeypatch):
+    # 64 points plus a copy of 5 of them 10 units away: 69 points against a
+    # 64-point patch give two FPS seeds, one per cluster, and the 5-point
+    # chunk, under level 1's m, joins the other, so one forward covers all
+    model = PSFormer(ModelConfig.tiny(), seed=0)
+    scene = gen_synthetic_scene(1, model.config.data)
+    cloud = normalize_cloud(np.concatenate([scene.coords, scene.coords[:5] + [10.0, 0, 0]]),
+                            np.concatenate([scene.colors, scene.colors[:5]]))
+    assert math.ceil(cloud.n / model.config.data.patch_size) == 2
+    assert 5 < model.config.levels[0].m
+    forward = model.forward
+    sizes = []
+
+    def counting_forward(sub, geometry):
+        sizes.append(sub.n)
+        return forward(sub, geometry)
+
+    monkeypatch.setattr(model, "forward", counting_forward)
+    probs = predict_cloud(model, cloud)
+    assert sizes == [69]
+    assert np.isfinite(probs).all()
+    merged = normalize_cloud(cloud.coords, cloud.colors)
+    assert np.array_equal(probs, sigmoid_data(forward(merged, model.build_geometry(merged)).data))
 
 
 def test_predict_cloud_builds_no_graph(monkeypatch):

@@ -98,6 +98,16 @@ def test_unknown_keys_are_named():
         parse_config("preset=tiny\nmodel.fn_eps=1e-05\n")
 
 
+@pytest.mark.parametrize("line, replacement", [
+    ("model.fn_eps=1e-05", "the constant featurenorm.EPS"),
+    ("model.attn_cap=0", "row blocks with no cap"),
+])
+def test_retired_keys_say_what_replaced_them(line, replacement):
+    with pytest.raises(ConfigError, match="was retired") as err:
+        parse_config(f"preset=tiny\n{line}\n")
+    assert replacement in str(err.value)
+
+
 def test_level_index_bounds():
     with pytest.raises(ConfigError, match="level index"):
         parse_config("preset=tiny\nlevel6.m=4\n")

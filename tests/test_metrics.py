@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from psformer.autodiff import ContractError
+from psformer.config import ModelSection
 from psformer.metrics import (MetricsReport, adaptive_threshold,
-                              average_reports, clamp_threshold, e_measure,
+                              average_reports, check_threshold, e_measure,
                               evaluate, f_measure, format_table, iou, mae,
-                              parse_report, write_report)
+                              parse_report, score, write_report)
 
 
 # ------------------------------------------------------------- references
@@ -165,17 +166,17 @@ def test_metric_input_errors():
 
 
 def test_adaptive_threshold():
+    # twice the mean probability, squeezed into the open interval (0, 1)
     assert adaptive_threshold([0.1, 0.3]) == pytest.approx(0.4)
-    assert adaptive_threshold([0.9, 0.9]) == 1.0  # capped
+    assert adaptive_threshold([0.25, 0.25]) == 0.5
+    assert adaptive_threshold([0.9, 0.9]) == 1.0 - 1e-9  # capped below 1
+    assert 0.0 < adaptive_threshold([0.0, 0.0]) < 1e-8
+    assert 1.0 - 1e-8 < adaptive_threshold([0.5, 0.5]) < 1.0
+    assert adaptive_threshold([1.0, 1.0]) == adaptive_threshold([0.5, 0.5])
+    for p in ([0.0], [0.5], [1.0]):
+        check_threshold(adaptive_threshold(p))
     with pytest.raises(ContractError):
         adaptive_threshold([])
-
-
-def test_clamp_threshold_open_interval():
-    assert clamp_threshold(0.5) == 0.5
-    assert 0.0 < clamp_threshold(0.0) < 1e-8
-    assert 1.0 - 1e-8 < clamp_threshold(1.0) < 1.0
-    assert clamp_threshold(2.0) == clamp_threshold(1.0)
 
 
 # ----------------------------------------------------------------- reports
@@ -199,8 +200,56 @@ def test_average_reports_is_per_view():
     assert avg.f_measure == pytest.approx(0.7)
     assert avg.iou == pytest.approx(0.6)
     assert avg.samples == 2
+    assert avg.threshold == 0.5
     with pytest.raises(ContractError):
         average_reports([], "none")
+
+
+def test_average_reports_threshold():
+    # a shared threshold is kept bit for bit; differing ones are averaged
+    same = [MetricsReport("x", 0.1, 0.8, 0.9, 0.7, 0.1, 1) for _ in range(3)]
+    assert (0.1 + 0.1 + 0.1) / 3 != 0.1
+    assert average_reports(same, "same").threshold == 0.1
+    differ = [MetricsReport("x", 0.1, 0.8, 0.9, 0.7, t, 1) for t in (0.2, 0.4, 0.9)]
+    assert average_reports(differ, "differ").threshold == pytest.approx(0.5)
+
+
+# ------------------------------------------------------------------ score
+
+def _views(seed=4, count=3):
+    rng = np.random.default_rng(seed)
+    return [(rng.uniform(0, 0.6, 30), rng.random(30) < 0.3) for _ in range(count)]
+
+
+def test_score_fixed_threshold_is_averaged_evaluate():
+    views = _views()
+    want = average_reports([evaluate(p, g, 0.5, name="s") for p, g in views], "s")
+    assert score(views, ModelSection(), name="s") == want
+    assert score(views, ModelSection(threshold=0.3)).threshold == 0.3
+
+
+def test_score_adaptive_threshold_per_view():
+    views = _views()
+    thresholds = [adaptive_threshold(p) for p, _ in views]
+    assert len(set(thresholds)) == 3
+    want = average_reports([evaluate(p, g, t) for (p, g), t in zip(views, thresholds)],
+                           "eval")
+    report = score(views, ModelSection(adaptive_threshold=True))
+    assert report == want
+    assert report.threshold == pytest.approx(np.mean(thresholds))
+    # an explicit threshold overrides the adaptive one
+    explicit = score(views, ModelSection(adaptive_threshold=True), threshold=0.5)
+    assert explicit == score(views, ModelSection())
+
+
+def test_score_input_errors():
+    p, g = _views(count=1)[0]
+    with pytest.raises(ContractError, match="scene 1 has no labels"):
+        score([(p, g), (p, None)], ModelSection())
+    with pytest.raises(ContractError, match="at least one"):
+        score([], ModelSection())
+    with pytest.raises(ContractError, match=r"threshold must be in \(0,1\)"):
+        score([(p, g)], ModelSection(), threshold=1.0)
 
 
 def test_report_write_parse_round_trip(tmp_path):

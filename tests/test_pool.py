@@ -4,8 +4,10 @@ or two."""
 
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -155,3 +157,36 @@ def test_one_cpu_means_no_worker():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "0"
+
+
+def test_a_forked_child_starts_its_own_worker(monkeypatch):
+    # A forked child inherits the parent's executor but not its thread, and
+    # the executor starts no new one, so without the at-fork reset the
+    # child's first split job would never finish.
+    monkeypatch.setattr(_pool, "WORKERS", 1)
+    done = np.zeros(2)
+
+    def mark(i):
+        done[i] = 1.0
+
+    _pool.run(mark, [0, 1])  # the worker thread is running from here on
+    assert done.all()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            done[:] = 0.0
+            _pool.run(mark, [0, 1])
+            code = 0 if done.all() else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        waited, status = os.waitpid(pid, os.WNOHANG)
+        if waited:
+            assert os.waitstatus_to_exitcode(status) == 0
+            return
+        time.sleep(0.05)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    pytest.fail("the forked child's split job did not finish in 30 s")
