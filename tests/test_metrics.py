@@ -166,8 +166,14 @@ def test_metric_input_errors():
 
 
 def test_adaptive_threshold():
-    # twice the mean probability, squeezed into the open interval (0, 1)
+    # twice the mean probability
     assert adaptive_threshold([0.1, 0.3]) == pytest.approx(0.4)
+    with pytest.raises(ContractError):
+        adaptive_threshold([])
+
+
+def test_clamp_threshold_open_interval():
+    # the adaptive threshold is squeezed into the open interval (0, 1)
     assert adaptive_threshold([0.25, 0.25]) == 0.5
     assert adaptive_threshold([0.9, 0.9]) == 1.0 - 1e-9  # capped below 1
     assert 0.0 < adaptive_threshold([0.0, 0.0]) < 1e-8
@@ -175,8 +181,6 @@ def test_adaptive_threshold():
     assert adaptive_threshold([1.0, 1.0]) == adaptive_threshold([0.5, 0.5])
     for p in ([0.0], [0.5], [1.0]):
         check_threshold(adaptive_threshold(p))
-    with pytest.raises(ContractError):
-        adaptive_threshold([])
 
 
 # ----------------------------------------------------------------- reports
